@@ -5,6 +5,25 @@ is shifted by the channel delay, and a pair is accepted when the shifted
 difference falls inside [window_lo, window_hi]. Counts use one-use greedy
 matching in time order, the way a circuit consumes pulses; spectra histogram
 every pairing in range, the way a time-to-amplitude converter records them.
+
+Every consumer gates a pair the same way: on the difference b - a itself,
+lo <= b - a <= hi, never on b >= a + lo, which rounds differently for
+non-integer bounds. _pair_ranges finds, for each A click, the range of B
+indices that pass this gate: a searchsorted on a + bound gives a first
+guess, which is then corrected with the subtraction.
+
+The one-use count needs no per-click loop. With [j0, j1) an A click's
+range, the two-pointer greedy gives click i the B index max(j0[i], prev + 1)
+if that is below j1[i], where prev is the last B index taken. Both j0 and
+j1 are nondecreasing, so an A click whose range overlaps neither its
+predecessor's nor its successor's shares no B click with any other A click:
+it matches iff its range is nonempty, counted in one vectorized pass. The
+rest form chains of overlapping ranges. Taking, in order of range end,
+the earliest free B index in range is the greedy that finds a maximum
+matching of clicks to ranges, so over the chains the count is the number of
+clicks minus Hall's largest deficiency. That deficiency is a 2x2 max-plus
+matrix product over the chained clicks, reduced pairwise in log2(n) numpy
+steps, however long the chains are.
 """
 
 from __future__ import annotations
@@ -103,42 +122,105 @@ def _as_sorted_array(times, name: str) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if t.size > 1 and np.any(np.diff(t) < 0.0):
+    if not np.isfinite(t).all():
+        raise ValueError(f"{name} must be finite")
+    if (t[1:] < t[:-1]).any():
         raise ValueError(f"{name} must be time-sorted")
     return t
 
 
-def _greedy_match_count(a: list[float], b: list[float], lo: float, hi: float) -> int:
-    """Two-pointer sweep; each click pairs at most once, earliest first."""
-    i = j = 0
-    na, nb = len(a), len(b)
-    matched = 0
-    while i < na and j < nb:
-        d = b[j] - a[i]
-        if d < lo:
-            j += 1
-        elif d > hi:
-            i += 1
+_NEIGHBOURS = np.array([[0], [1]])
+
+
+def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float,
+                               side: str = "left") -> np.ndarray:
+    """For each a, np.searchsorted(b - a, bound, side), with b - a computed per element.
+
+    side "left" gives the first j with b[j] - a >= bound, "right" the first
+    with b[j] - a > bound. The difference is monotone in b[j], so the
+    passing indices form a suffix. searchsorted(b, a + bound) is only a
+    guess, because fl(a + bound) - a can differ from bound; the guess is
+    then moved one distinct value of b at a time until the subtraction
+    agrees on both sides of it.
+    """
+    passes = np.greater if side == "right" else np.greater_equal
+    # padded[j] is b[j - 1] and padded[j + 1] is b[j]; -inf never passes and
+    # +inf always does, so every guess j has both neighbours
+    padded = np.concatenate(([-np.inf], b, [np.inf]))
+    j = np.searchsorted(b, a + bound, side=side)
+    while True:
+        below_passes, at_passes = passes(padded[j + _NEIGHBOURS] - a, bound)
+        if below_passes.any():
+            j[below_passes] = np.searchsorted(padded, padded[j[below_passes]], side="left") - 1
+        elif not at_passes.all():
+            fails = ~at_passes
+            j[fails] = np.searchsorted(padded, padded[j[fails] + 1], side="right") - 1
         else:
-            matched += 1
-            i += 1
-            j += 1
+            return j
+
+
+def _pair_ranges(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float):
+    """For each A click, the index range [j0, j1) of B clicks with lo <= b - a <= hi."""
+    j0 = searchsorted_by_difference(b_shifted, a, lo, side="left")
+    j1 = searchsorted_by_difference(b_shifted, a, hi, side="right")
+    return j0, j1
+
+
+# the 2x2 max-plus identity; -2**40 stands in for minus infinity, far
+# below any real entry
+_MAXPLUS_IDENTITY = np.array([[0, -(1 << 40)], [-(1 << 40), 0]], dtype=np.int64)
+
+
+def _max_deficiency(e: np.ndarray, o: np.ndarray) -> int:
+    """Best total over disjoint blocks of consecutive entries: sum of e, plus o per inner link.
+
+    o[i] links entry i to entry i - 1 (o[0] is unused). The scan
+    "in_i = e_i + max(in_{i-1} + o_i, out_{i-1}); out_i = max(out_{i-1}, in_i)",
+    started from out = 0, is a product of 2x2 max-plus matrices
+    [[o + e, e], [o + e, max(e, 0)]] acting on (in, out), one per entry.
+    Padded with identities to a power of two, the product is reduced
+    pairwise, in log2(n) numpy steps.
+    """
+    n = e.size
+    m = np.empty((2, 2, 1 << (n - 1).bit_length()), dtype=np.int64)
+    m[:, :, n:] = _MAXPLUS_IDENTITY[:, :, None]
+    m[0, 0, :n] = m[1, 0, :n] = o + e
+    m[0, 1, :n] = e
+    m[1, 1, :n] = np.maximum(e, 0)
+    while m.shape[2] > 1:
+        # later @ earlier for each pair: max over k of later[r, k] + earlier[k, c]
+        m = (m[:, :, None, 1::2] + m[None, :, :, 0::2]).max(axis=1)
+    return int(m[1, 1, 0])
+
+
+def _one_use_count(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float) -> int:
+    """Greedy one-use match count: each click pairs at most once, earliest first."""
+    j0, j1 = _pair_ranges(a, b_shifted, lo, hi)
+    overlap = j0[1:] < j1[:-1]
+    chained = np.zeros(a.size, dtype=bool)
+    chained[1:] = overlap
+    chained[:-1] |= overlap
+    matched = int(np.count_nonzero(~chained & (j1 > j0)))
+    idx = np.flatnonzero(chained)
+    if idx.size:
+        # Hall's theorem: matches = clicks - the largest deficiency
+        # |S| - |union of the ranges of S| over sets S of clicks. It is
+        # reached by blocks p..q of consecutive clicks, whose union is
+        # [j0[p], j1[q]); that block's deficiency (q - p + 1) - (j1[q] - j0[p])
+        # splits into e per click and o per link. A link with o <= 0 (between
+        # chains) never pays to cross.
+        e = 1 - (j1[idx] - j0[idx])
+        o = np.zeros_like(e)
+        o[1:] = j1[idx[:-1]] - j0[idx[1:]]
+        matched += idx.size - _max_deficiency(e, o)
     return matched
 
 
 def count_coincidences(times_a, times_b, w: WindowConfig) -> int:
     """One-use coincidence count between two sorted click-time arrays."""
     a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b")
-    return _greedy_match_count(a.tolist(), (b + w.channel_delay).tolist(),
-                               w.window_lo, w.window_hi)
-
-
-def _pair_ranges(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float):
-    """For each A click, the index range of B clicks with difference in [lo, hi]."""
-    j0 = np.searchsorted(b_shifted, a + lo, side="left")
-    j1 = np.searchsorted(b_shifted, a + hi, side="right")
-    return j0, j1
+    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
+    return _one_use_count(a, b, w.window_lo, w.window_hi)
 
 
 def count_all_pairs(times_a, times_b, w: WindowConfig) -> int:

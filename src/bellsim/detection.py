@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bellsim.coincidence import searchsorted_by_difference
 from bellsim.source import EmissionStream, PairEmission
 
 MODELS = ("particle", "wave")
@@ -86,6 +87,10 @@ class DetectorConfig:
             raise ValueError(
                 f"unknown efficiency_fn {self.efficiency_fn!r}, expected one of {EFFICIENCY_FNS}"
             )
+        for name in ("eta0", "modulation_depth", "enhancement_factor", "jitter_sigma",
+                     "dead_time", "wave_decay_tau", "wave_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.eta0 <= 1.0:
             raise ValueError(f"eta0 must be in [0, 1], got {self.eta0}")
         if self.enhancement_factor < 1.0:
@@ -208,41 +213,58 @@ def detect_wave(emission: PairEmission, side: str, setting: PolariserSetting,
 
 
 def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Greedy keep-mask over a sorted array.
+    """Non-paralyzable keep-mask over a sorted array, without a per-click loop.
 
-    Any click whose raw gap to its predecessor is >= dead_time is always
-    kept (the greedy anchor before it can only be earlier), so the python
-    scan only has to walk the conflict runs.
+    The rule is the greedy scan: keep a click when t - last >= dead_time,
+    where last is the most recent kept click. Any click whose gap to its
+    predecessor is >= dead_time is always kept (the kept click before it can
+    only be earlier), so such clicks start conflict runs. Every other click
+    is dropped unless rescued inside its run; the second click of a run
+    never is. In runs of three or more, the kept clicks are the orbit of the
+    run's first click under next(i), the first click j with t[j] - t[i] >=
+    dead_time (the scan's own test, see searchsorted_by_difference). The
+    orbits of all runs are collected at once by pointer doubling: with the
+    clicks less than 2^k jumps from their run's first click collected, one
+    step adds their images under the 2^k-fold jump and squares the jump
+    table. The number of steps is log2 of the most clicks kept in one run.
     """
     n = times.size
     keep = np.ones(n, dtype=bool)
     if n <= 1 or dead_time <= 0.0:
         return keep
-    gaps = np.diff(times)
-    conflict = gaps < dead_time
-    if not conflict.any():
+    np.greater_equal(np.diff(times), dead_time, out=keep[1:])
+    run_starts = np.flatnonzero(keep)
+    lengths = np.diff(np.append(run_starts, n))
+    long_runs = lengths > 2
+    if not long_runs.any():
         return keep
-    run_starts = np.flatnonzero(np.concatenate(([True], ~conflict)))
-    bounds = np.append(run_starts, n)
-    t_list = times.tolist()
-    for k in range(run_starts.size):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        if hi - lo <= 1:
-            continue
-        last = t_list[lo]
-        for i in range(lo + 1, hi):
-            if t_list[i] - last >= dead_time:
-                last = t_list[i]
-            else:
-                keep[i] = False
+    starts, lengths = run_starts[long_runs], lengths[long_runs]
+    # members of the long runs, back to back; local index k is members[k]
+    local_starts = np.cumsum(lengths) - lengths
+    members = np.arange(lengths.sum()) + np.repeat(starts - local_starts, lengths)
+    nxt = searchsorted_by_difference(times, times[members], dead_time, side="left")
+    sink = members.size  # jumps that leave the run end here
+    jump = np.append(np.where(nxt < np.repeat(starts + lengths, lengths),
+                              nxt - members + np.arange(sink), sink), sink)
+    kept = local_starts
+    while True:
+        further = jump[kept]
+        further = further[further != sink]
+        if not further.size:
+            break
+        kept = np.concatenate((kept, further))
+        jump = jump[jump]
+    keep[members[kept]] = True
     return keep
 
 
 def apply_dead_time(times, dead_time: float) -> np.ndarray:
     """Filter a sorted click-time array so surviving gaps are >= dead_time."""
     t = np.asarray(times, dtype=float)
-    if dead_time < 0.0:
-        raise ValueError(f"dead_time must be >= 0, got {dead_time}")
+    if not (math.isfinite(dead_time) and dead_time >= 0.0):
+        raise ValueError(f"dead_time must be finite and >= 0, got {dead_time}")
+    if not np.isfinite(t).all():
+        raise ValueError("click times must be finite")
     if t.size > 1 and np.any(np.diff(t) < 0.0):
         raise ValueError("click times must be sorted before dead-time filtering")
     return t[_dead_time_keep_mask(t, dead_time)]

@@ -87,8 +87,8 @@ class ScenarioConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("insertion_delay_a", "insertion_delay_b"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.repeats, int) and self.repeats >= 1):

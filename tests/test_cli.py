@@ -131,6 +131,18 @@ def test_invalid_scenario_value_is_json_error(tmp_path, capsys):
     assert _stderr_error(capsys)["type"] == "ValueError"
 
 
+def test_nan_detector_value_is_json_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"detector_b": {"jitter_sigma": NaN}}')
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError"
+    assert "jitter_sigma" in error["message"]
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert _stderr_error(capsys)["type"] == "usage"

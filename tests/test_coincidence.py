@@ -91,6 +91,64 @@ def test_count_matches_reference_on_poisson_streams():
     assert got > 0
 
 
+def test_count_matches_reference_in_dense_regime():
+    # ~10 B clicks per window span: almost every A range overlaps the one
+    # before it, so nearly all clicks sit in long conflict chains
+    rng = np.random.default_rng(41)
+    a = np.sort(rng.uniform(0.0, 8000.0, 4000))
+    b = np.sort(rng.uniform(0.0, 8000.0, 4000))
+    for w in (W, WindowConfig(window_lo=-2.7, window_hi=17.3)):
+        got = count_coincidences(a, b, w)
+        assert got == _reference_one_use_count(a.tolist(), b.tolist(),
+                                               w.window_lo, w.window_hi)
+        assert got > 3000
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.floats(min_value=1.0e7, max_value=1.0e8), min_size=1, max_size=30),
+       picks=st.lists(st.integers(min_value=0, max_value=29), max_size=30),
+       lo=st.sampled_from([-2.7, -3.3, -0.1, 0.7]),
+       span=st.sampled_from([19.3, 20.0, 0.9]))
+def test_count_and_pairs_gate_on_the_difference_at_rounded_edges(a, picks, lo, span):
+    # B clicks sit exactly at fl(a + lo) and fl(a + hi), where the rounded
+    # sum and the difference b - a can disagree about the window edge
+    a = sorted(a)
+    hi = lo + span
+    chosen = [a[i % len(a)] for i in picks]
+    b = sorted([t + lo for t in chosen] + [t + hi for t in chosen])
+    w = WindowConfig(window_lo=lo, window_hi=hi, accidental_offset=1.0e6)
+    one_use = count_coincidences(a, b, w)
+    assert one_use == _reference_one_use_count(a, b, lo, hi)
+    all_pairs = sum(lo <= tb - ta <= hi for ta in a for tb in b)
+    assert count_all_pairs(a, b, w) == all_pairs
+    assert one_use <= all_pairs
+
+
+@pytest.mark.parametrize("a", [68176891.72720371, 22974365.14476704])
+def test_pair_consumers_share_the_counter_window_gate(a):
+    # fl(a - 2.7) - a < -2.7 for the first time and fl(a + 17.3) - a > 17.3
+    # for the second: the B click is outside the window by the difference
+    # that the one-use counter tests
+    w = WindowConfig(window_lo=-2.7, window_hi=17.3)
+    for b in (a + w.window_lo, a + w.window_hi):
+        inside = int(w.window_lo <= b - a <= w.window_hi)
+        assert count_coincidences([a], [b], w) == inside
+        assert count_all_pairs([a], [b], w) == inside
+        assert classify_pairs_by_origin([a], [0], [b], [0], w) == (inside, 0)
+    assert a + w.window_lo - a < w.window_lo or a + w.window_hi - a > w.window_hi
+
+
+@pytest.mark.parametrize("a, b", [([0.0, math.nan], [math.nan, 1.0]),
+                                  ([0.0, math.inf], [1.0]),
+                                  ([0.0], [-math.inf, 1.0])])
+def test_pair_consumers_reject_non_finite_times(a, b):
+    for fn in (count_coincidences, count_all_pairs, estimate_accidentals_delayed):
+        with pytest.raises(ValueError, match="finite"):
+            fn(a, b, W)
+    with pytest.raises(ValueError, match="finite"):
+        build_spectrum(a, b, W)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=st.lists(st.integers(min_value=0, max_value=300), max_size=30),
        b=st.lists(st.integers(min_value=0, max_value=300), max_size=30),

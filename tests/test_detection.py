@@ -216,10 +216,21 @@ def test_apply_dead_time_matches_reference(times, dead):
     assert apply_dead_time(times, dead).tolist() == _reference_dead_time(times, dead)
 
 
+@pytest.mark.parametrize("times, dead", [([0.0, math.nan, 20.0], 16.0),
+                                         ([0.0, 5.0, math.inf], 16.0),
+                                         ([0.0, 20.0], math.nan),
+                                         ([0.0, 20.0], math.inf)])
+def test_apply_dead_time_rejects_non_finite(times, dead):
+    with pytest.raises(ValueError, match="finite"):
+        apply_dead_time(times, dead)
+
+
 def test_dead_time_output_never_violates_gap():
     rng = np.random.default_rng(77)
     times = np.sort(rng.uniform(0.0, 2.0e5, 40_000))  # dense: mean gap 5 ns
     out = apply_dead_time(times, 16.0)
+    # runs of dozens of clicks: clicks deep inside a run are rescued too
+    assert out.tolist() == _reference_dead_time(times.tolist(), 16.0)
     assert out.size > 0
     assert np.diff(out).min() >= 16.0
 
@@ -290,6 +301,12 @@ def test_simulate_side_output_is_sorted_and_sparse():
     {"model": "wave", "wave_gain": -0.5},
     {"model": "photon"},
     {"efficiency_fn": "linear"},
+    {"jitter_sigma": math.nan},
+    {"jitter_sigma": math.inf},
+    {"dead_time": math.nan},
+    {"dead_time": math.inf},
+    {"enhancement_factor": math.nan},
+    {"model": "wave", "wave_gain": math.nan},
 ])
 def test_invalid_detector_configs_raise(kwargs):
     with pytest.raises(ValueError):

@@ -136,6 +136,10 @@ def test_scenario_validation():
         ScenarioConfig(seed=-1)
     with pytest.raises(ValueError, match="repeats"):
         ScenarioConfig(repeats=0)
+    for name in ("insertion_delay_a", "insertion_delay_b"):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=name):
+                ScenarioConfig(**{name: bad})
 
 
 def test_single_value_sweep_equals_run_scenario():
