@@ -28,14 +28,10 @@ from bellsim.coincidence import (
 from bellsim.detection import (
     ABSENT,
     ClickStream,
-    DetectionEvent,
     DetectorConfig,
     PolariserSetting,
     apply_dead_time,
-    detect_particle,
-    detect_wave,
     simulate_side,
-    transmit_particle,
 )
 from bellsim.harness import (
     CONFIG_KEYS,
@@ -51,12 +47,7 @@ from bellsim.harness import (
     scenario_from_dict,
 )
 from bellsim.presets import PRESETS, bundled_counts_path, load_scenario_file
-from bellsim.source import (
-    EmissionConfig,
-    EmissionStream,
-    PairEmission,
-    generate_emissions,
-)
+from bellsim.source import EmissionConfig, EmissionStream, generate_emissions
 
 __version__ = "0.1.0"
 
@@ -66,13 +57,11 @@ __all__ = [
     "CONFIG_KEYS",
     "ClickStream",
     "CoincidenceSpectrum",
-    "DetectionEvent",
     "DetectorConfig",
     "EmissionConfig",
     "EmissionStream",
     "LIMITS",
     "PRESETS",
-    "PairEmission",
     "PolariserSetting",
     "RunCounts",
     "ScenarioConfig",
@@ -89,8 +78,6 @@ __all__ = [
     "compute_visibility_statistic",
     "count_all_pairs",
     "count_coincidences",
-    "detect_particle",
-    "detect_wave",
     "estimate_accidentals_delayed",
     "estimate_accidentals_product",
     "generate_emissions",
@@ -102,5 +89,4 @@ __all__ = [
     "scenario_from_dict",
     "simulate_side",
     "subtract_accidentals",
-    "transmit_particle",
 ]

@@ -56,6 +56,9 @@ class RunCounts:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in (*_COUNT_FIELDS, *_ACC_FIELDS, "duration"):
+            if isinstance(getattr(self, name), bool):  # an int to Python, not a count
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in _COUNT_FIELDS:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):

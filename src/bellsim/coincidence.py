@@ -28,7 +28,6 @@ steps, however long the chains are.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -102,13 +101,6 @@ class CoincidenceSpectrum:
         if abs(self.bin_edges[i0] - lo) > tol or abs(self.bin_edges[i1] - hi) > tol:
             raise ValueError(f"[{lo}, {hi}] does not align with the spectrum bin edges")
         return int(self.counts[i0:i1].sum())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_start_ns", "count"])
-            for start, c in zip(self.bin_edges[:-1], self.counts):
-                writer.writerow([repr(float(start)), int(c)])
 
     def to_dict(self) -> dict:
         return {
@@ -243,16 +235,14 @@ def _expand_pairs(j0: np.ndarray, j1: np.ndarray):
     return ia, ib.astype(np.int64)
 
 
-def build_spectrum(times_a, times_b, w: WindowConfig,
-                   spectrum_range: tuple[float, float] | None = None) -> CoincidenceSpectrum:
-    """Histogram all pairings whose difference lies in spectrum_range.
+def spectrum_bin_edges(w: WindowConfig,
+                       spectrum_range: tuple[float, float] | None = None) -> np.ndarray:
+    """Bin edges of the spectrum over spectrum_range, checked against the window.
 
     The range must contain the coincidence window and be an exact number of
     bin widths; when omitted it extends from well before the window to well
     after it so the accidental floor on both sides is visible.
     """
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
     if spectrum_range is None:
         lo = math.floor(w.window_lo - 5.0 * w.span - 10.0)
         hi = math.ceil(w.window_hi + 5.0 * w.span + 10.0)
@@ -272,7 +262,15 @@ def build_spectrum(times_a, times_b, w: WindowConfig,
             raise ValueError(
                 f"bin_width {w.bin_width} ns does not evenly divide the range [{lo}, {hi}]"
             )
-    edges = lo + w.bin_width * np.arange(n_bins + 1)
+    return lo + w.bin_width * np.arange(n_bins + 1)
+
+
+def build_spectrum(times_a, times_b, w: WindowConfig,
+                   spectrum_range: tuple[float, float] | None = None) -> CoincidenceSpectrum:
+    """Histogram all pairings whose difference lies in spectrum_range (see spectrum_bin_edges)."""
+    a = _as_sorted_array(times_a, "times_a")
+    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
+    edges = spectrum_bin_edges(w, spectrum_range)
     j0, j1 = _pair_ranges(a, b, float(edges[0]), float(edges[-1]))
     ia, ib = _expand_pairs(j0, j1)
     deltas = b[ib] - a[ia]

@@ -7,22 +7,20 @@ treats each signal as an exponentially decaying intensity envelope and
 samples the click time from the induced detection hazard, so attenuating
 the envelope both lowers the click probability and pushes the click later.
 
-Scalar single-emission operations are provided for clarity and testing;
-simulate_side is the vectorized path used for full runs. Both use the same
-distributions but draw from the RNG in different orders, so per-click
-agreement between the two paths is not guaranteed for a shared seed.
+simulate_side runs one side's chain over a whole emission stream at once:
+candidate clicks for every emission, then one time sort, then the dead
+time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bellsim.coincidence import searchsorted_by_difference
-from bellsim.source import EmissionStream, PairEmission
+from bellsim.source import EmissionStream
 
 MODELS = ("particle", "wave")
 EFFICIENCY_FNS = ("constant", "cosine_modulated")
@@ -114,12 +112,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class DetectionEvent:
-    t: float  # detection time, ns
-    side: str  # "A" or "B"
-
-
-@dataclass(frozen=True)
 class ClickStream:
     """Time-sorted clicks of one side, tagged with the emission they came from."""
 
@@ -133,83 +125,6 @@ class ClickStream:
 
     def __len__(self) -> int:
         return self.size
-
-
-def transmit_particle(lam: float, setting: PolariserSetting, u: float) -> bool:
-    """Malus-law pass decision for one signal against one polariser slot."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must be in [0, 1), got {u}")
-    if not setting.present:
-        return True
-    return u < math.cos(lam - setting.angle) ** 2
-
-
-def detection_efficiency(lam: float, setting: PolariserSetting, config: DetectorConfig) -> float:
-    """Efficiency for a transmitted signal: eta0 times the configured variation."""
-    eta = config.eta0
-    if setting.present:
-        if config.efficiency_fn == "cosine_modulated":
-            eta *= 1.0 - config.modulation_depth * math.sin(lam - setting.angle) ** 2
-        eta *= config.enhancement_factor
-    return eta
-
-
-def _base_time(emission: PairEmission, side: str, setting: PolariserSetting) -> float:
-    t = emission.t0 + setting.effective_delay
-    if side == "B":
-        t += emission.b_delay
-    return t
-
-
-def detect_particle(emission: PairEmission, side: str, setting: PolariserSetting,
-                    config: DetectorConfig, rng: np.random.Generator) -> DetectionEvent | None:
-    """Particle-model click for one emission, or None if the signal is lost."""
-    if config.model != "particle":
-        raise ValueError(f"detect_particle needs a particle-model config, got {config.model!r}")
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if not transmit_particle(emission.lam, setting, rng.random()):
-        return None
-    if rng.random() >= detection_efficiency(emission.lam, setting, config):
-        return None
-    t = _base_time(emission, side, setting) + rng.normal(0.0, config.jitter_sigma)
-    return DetectionEvent(t=t, side=side)
-
-
-def detect_wave(emission: PairEmission, side: str, setting: PolariserSetting,
-                config: DetectorConfig, rng: np.random.Generator) -> list[DetectionEvent]:
-    """Wave-model clicks for one emission.
-
-    The envelope I(t) = I0 * exp(-t/tau) drives a hazard wave_gain * I(t),
-    so the total expected hazard is gain * I0 * tau and the click time comes
-    from inverting the cumulative hazard. With allow_multiple_detections the
-    sampling restarts dead_time after each click on what is left of the
-    envelope; otherwise only the first click is returned.
-    """
-    if config.model != "wave":
-        raise ValueError(f"detect_wave needs a wave-model config, got {config.model!r}")
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    tau = config.wave_decay_tau
-    i0 = emission.a_intensity0 if side == "A" else emission.b_intensity0
-    if setting.present:
-        i0 *= math.cos(emission.lam - setting.angle) ** 2
-    total = config.wave_gain * i0 * tau  # cumulative hazard of the whole envelope
-    events: list[DetectionEvent] = []
-    base = emission.t0 + setting.effective_delay
-    survival = 1.0  # exp(-t/tau) at the current resume point
-    while True:
-        eps = rng.exponential()
-        if eps >= total * survival:
-            break
-        survival -= eps / total
-        offset = -tau * math.log(survival)
-        t = base + offset + rng.normal(0.0, config.jitter_sigma)
-        events.append(DetectionEvent(t=t, side=side))
-        if not config.allow_multiple_detections:
-            break
-        survival = math.exp(-(offset + config.dead_time) / tau)
-    return events
 
 
 def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -294,13 +209,19 @@ def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSe
     return times, ids
 
 
-def _wave_candidates(stream: EmissionStream, side: str, setting: PolariserSetting,
+def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
                      config: DetectorConfig, rng: np.random.Generator):
+    """Unsorted (times, emission ids) from the hazard wave_gain * I0 * exp(-t/tau).
+
+    I0 is cos^2(lam - angle) behind a polariser and 1 without; with
+    allow_multiple_detections sampling resumes dead_time after each click.
+    """
     n = stream.size
-    i0 = stream.a_intensity0 if side == "A" else stream.b_intensity0
     tau = config.wave_decay_tau
     if setting.present:
-        i0 = i0 * np.cos(stream.lam - setting.angle) ** 2
+        i0 = np.cos(stream.lam - setting.angle) ** 2
+    else:
+        i0 = np.ones(n)
     total = config.wave_gain * i0 * tau
     base = stream.t0 + setting.effective_delay
 
@@ -344,22 +265,10 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
     if config.model == "particle":
         times, ids = _particle_candidates(stream, side, setting, config, rng)
     else:
-        times, ids = _wave_candidates(stream, side, setting, config, rng)
+        times, ids = _wave_candidates(stream, setting, config, rng)
     order = np.argsort(times, kind="stable")
     times = times[order]
     ids = ids[order]
     keep = _dead_time_keep_mask(times, config.dead_time)
     return ClickStream(times=times[keep], emission_index=ids[keep], side=side)
 
-
-def dump_clicks(path, *streams: ClickStream) -> None:
-    """Write one or more click streams as a merged CSV with header t_ns,side."""
-    rows: list[tuple[float, str]] = []
-    for s in streams:
-        rows.extend((float(t), s.side) for t in s.times)
-    rows.sort(key=lambda r: r[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "side"])
-        for t, side in rows:
-            writer.writerow([repr(t), side])

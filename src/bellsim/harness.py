@@ -47,6 +47,7 @@ from bellsim.coincidence import (
     count_coincidences,
     estimate_accidentals_delayed,
     estimate_accidentals_product,
+    spectrum_bin_edges,
 )
 from bellsim.detection import (
     ABSENT,
@@ -99,9 +100,7 @@ class ScenarioConfig:
                 f"{self.detector_a.model!r} and {self.detector_b.model!r}"
             )
         if self.spectrum_range is not None:
-            lo, hi = self.spectrum_range
-            if not lo < hi:
-                raise ValueError(f"spectrum_range must have lo < hi, got {self.spectrum_range}")
+            spectrum_bin_edges(self.window, self.spectrum_range)
 
     @property
     def wave_mode(self) -> bool:
@@ -240,29 +239,30 @@ def _angle_of(setting: PolariserSetting) -> float | None:
     return float(setting.angle) if setting.present else None
 
 
+def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: PolariserSetting,
+                   set_b: PolariserSetting) -> tuple[ClickStream, ClickStream]:
+    """One seed-policy cell: its emission stream, then side A's and side B's clicks."""
+    rng_em, rng_a, rng_b = derive_rngs(s.seed, cell_index, repeat)
+    stream = generate_emissions(s.emission, rng_em, wave_mode=s.wave_mode)
+    return (simulate_side(stream, "A", set_a, s.detector_a, rng_a),
+            simulate_side(stream, "B", set_b, s.detector_b, rng_b))
+
+
 def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> ConfigurationResult:
     set_a, set_b = s.polariser_settings(key)
     raw = delayed = singles_a = singles_b = 0
     true_pairs = acc_pairs = incl_in = incl_tot = 0
     product = 0.0
-    spec_edges: np.ndarray | None = None
-    spec_counts: np.ndarray | None = None
-    spec_total = 0
+    spec_counts = spec_total = 0
     for r in range(s.repeats):
-        rng_em, rng_a, rng_b = derive_rngs(s.seed, config_index, r)
-        stream = generate_emissions(s.emission, rng_em, wave_mode=s.wave_mode)
-        clicks_a = simulate_side(stream, "A", set_a, s.detector_a, rng_a)
-        clicks_b = simulate_side(stream, "B", set_b, s.detector_b, rng_b)
+        clicks_a, clicks_b = _simulate_cell(s, config_index, r, set_a, set_b)
         raw += count_coincidences(clicks_a.times, clicks_b.times, s.window)
         delayed += estimate_accidentals_delayed(clicks_a.times, clicks_b.times, s.window)
         if s.emission.duration > 0.0:
             product += estimate_accidentals_product(clicks_a.size, clicks_b.size,
                                                     s.window, s.emission.duration)
         spectrum = build_spectrum(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
-        if spec_counts is None:
-            spec_edges, spec_counts = spectrum.bin_edges, spectrum.counts.copy()
-        else:
-            spec_counts += spectrum.counts
+        spec_counts = spec_counts + spectrum.counts
         spec_total += spectrum.total_pairs_considered
         tp, ap = classify_pairs_by_origin(clicks_a.times, clicks_a.emission_index,
                                           clicks_b.times, clicks_b.emission_index, s.window)
@@ -273,7 +273,6 @@ def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> Config
         incl_tot += tot
         singles_a += clicks_a.size
         singles_b += clicks_b.size
-    assert spec_edges is not None and spec_counts is not None
     return ConfigurationResult(
         key=key,
         angle_a=_angle_of(set_a),
@@ -286,7 +285,7 @@ def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> Config
         true_pairs=true_pairs,
         accidental_pairs=acc_pairs,
         window_inclusion_fraction=(incl_in / incl_tot) if incl_tot else None,
-        spectrum=CoincidenceSpectrum(bin_edges=spec_edges, counts=spec_counts,
+        spectrum=CoincidenceSpectrum(bin_edges=spectrum.bin_edges, counts=spec_counts,
                                      total_pairs_considered=spec_total),
     )
 
@@ -337,16 +336,13 @@ def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> li
     namespace after the four standard configurations (index 4 + i), so the
     curve is reproducible and independent of the standard runs.
     """
+    set_a = PolariserSetting(angle=s.analyzer_a, insertion_delay=s.insertion_delay_a)
     curve: list[tuple[float, int]] = []
     for i, rel in enumerate(relative_angles):
-        set_a = PolariserSetting(angle=s.analyzer_a, insertion_delay=s.insertion_delay_a)
         set_b = PolariserSetting(angle=s.analyzer_a + rel, insertion_delay=s.insertion_delay_b)
         total = 0
         for r in range(s.repeats):
-            rng_em, rng_a, rng_b = derive_rngs(s.seed, 4 + i, r)
-            stream = generate_emissions(s.emission, rng_em, wave_mode=s.wave_mode)
-            clicks_a = simulate_side(stream, "A", set_a, s.detector_a, rng_a)
-            clicks_b = simulate_side(stream, "B", set_b, s.detector_b, rng_b)
+            clicks_a, clicks_b = _simulate_cell(s, 4 + i, r, set_a, set_b)
             total += count_coincidences(clicks_a.times, clicks_b.times, s.window)
         curve.append((float(rel), total))
     return curve
@@ -474,6 +470,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(parameter=spec.parameter, rows=tuple(rows))
 
 
+def _reject_booleans(current, overrides: dict, where: str) -> None:
+    """Refuse JSON true/false (an int to Python) where the default is not a bool."""
+    for name, value in overrides.items():
+        if isinstance(value, bool) and not isinstance(getattr(current, name), bool):
+            raise ValueError(f"invalid {where} config: {name} must not be a boolean, "
+                             f"got {json.dumps(value)}")
+
+
 def _merge_section(current, overrides: dict, section: str):
     if not isinstance(overrides, dict):
         raise ValueError(f"scenario section {section!r} must be a mapping")
@@ -481,6 +485,7 @@ def _merge_section(current, overrides: dict, section: str):
     unknown = set(overrides) - names
     if unknown:
         raise ValueError(f"unknown field(s) in {section}: {', '.join(sorted(unknown))}")
+    _reject_booleans(current, overrides, section)
     try:
         return dataclasses.replace(current, **overrides)
     except (TypeError, ValueError) as exc:
@@ -508,9 +513,11 @@ def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> Scenar
     unknown = set(data) - set(_SCENARIO_SCALARS)
     if unknown:
         raise ValueError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
+    _reject_booleans(base, data, "scenario")
     if "spectrum_range" in data and data["spectrum_range"] is not None:
         rng = data["spectrum_range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
+        if not (isinstance(rng, (list, tuple)) and len(rng) == 2
+                and not any(isinstance(v, bool) for v in rng)):
             raise ValueError(f"spectrum_range must be a two-element list, got {rng!r}")
         data["spectrum_range"] = (float(rng[0]), float(rng[1]))
     try:

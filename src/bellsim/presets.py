@@ -123,7 +123,7 @@ def load_sweep_file(path) -> SweepSpec:
     if missing:
         raise ValueError(f"{path}: missing sweep field(s): {', '.join(sorted(missing))}")
     values = data["values"]
-    if not isinstance(values, list) or not values:
+    if not isinstance(values, list) or not values or any(isinstance(v, bool) for v in values):
         raise ValueError(f"{path}: 'values' must be a nonempty list of numbers")
     try:
         values_t = tuple(float(v) for v in values)

@@ -12,10 +12,8 @@ All times are in nanoseconds unless a field says otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,29 +24,16 @@ HIDDEN_VARIABLE_MODES = ("uniform", "fixed")
 
 
 @dataclass(frozen=True)
-class PairEmission:
-    """One source event: a photon pair leaving the source at time t0."""
-
-    t0: float  # emission time, ns
-    lam: float  # hidden polarization angle, rad, in [0, pi)
-    b_delay: float = 0.0  # cascade-lifetime delay of the B signal, ns
-    a_intensity0: float = 1.0  # initial wave-model intensity, A side
-    b_intensity0: float = 1.0  # initial wave-model intensity, B side
-
-
-@dataclass(frozen=True)
 class EmissionStream:
     """Column-wise batch of pair emissions, sorted by emission time."""
 
     t0: np.ndarray
     lam: np.ndarray
     b_delay: np.ndarray
-    a_intensity0: np.ndarray
-    b_intensity0: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.t0.size
-        for name in ("lam", "b_delay", "a_intensity0", "b_intensity0"):
+        for name in ("lam", "b_delay"):
             if getattr(self, name).size != n:
                 raise ValueError(f"column {name!r} has size {getattr(self, name).size}, expected {n}")
 
@@ -58,25 +43,6 @@ class EmissionStream:
 
     def __len__(self) -> int:
         return self.size
-
-    def pair(self, i: int) -> PairEmission:
-        return PairEmission(
-            t0=float(self.t0[i]),
-            lam=float(self.lam[i]),
-            b_delay=float(self.b_delay[i]),
-            a_intensity0=float(self.a_intensity0[i]),
-            b_intensity0=float(self.b_intensity0[i]),
-        )
-
-    def __iter__(self) -> Iterator[PairEmission]:
-        for i in range(self.size):
-            yield self.pair(i)
-
-
-def _empty_stream() -> EmissionStream:
-    z = np.zeros(0, dtype=float)
-    return EmissionStream(t0=z, lam=z.copy(), b_delay=z.copy(),
-                          a_intensity0=z.copy(), b_intensity0=z.copy())
 
 
 @dataclass(frozen=True)
@@ -165,8 +131,6 @@ def generate_emissions(config: EmissionConfig, seed=None, wave_mode: bool = Fals
         exp_scale = config.mean_gap_ns - config.min_gap
     t0 = _renewal_arrivals(rng, duration_ns, hard_gap, exp_scale)
     n = t0.size
-    if n == 0:
-        return _empty_stream()
     if config.hidden_variable == "uniform":
         lam = rng.uniform(0.0, np.pi, n)
     else:
@@ -175,17 +139,4 @@ def generate_emissions(config: EmissionConfig, seed=None, wave_mode: bool = Fals
         b_delay = np.zeros(n, dtype=float)
     else:
         b_delay = rng.exponential(config.cascade_lifetime_tau, n)
-    ones = np.ones(n, dtype=float)
-    return EmissionStream(t0=t0, lam=lam, b_delay=b_delay,
-                          a_intensity0=ones, b_intensity0=ones.copy())
-
-
-def dump_emissions(stream: EmissionStream, path) -> None:
-    """Write a stream as CSV with header t0_ns,lambda_rad,b_delay_ns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t0_ns", "lambda_rad", "b_delay_ns"])
-        for i in range(stream.size):
-            writer.writerow([repr(float(stream.t0[i])),
-                             repr(float(stream.lam[i])),
-                             repr(float(stream.b_delay[i]))])
+    return EmissionStream(t0=t0, lam=lam, b_delay=b_delay)

@@ -146,3 +146,25 @@ def test_nan_detector_value_is_json_error(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert _stderr_error(capsys)["type"] == "usage"
+
+
+@pytest.mark.parametrize("command, document", [
+    ("simulate", {"preset": "aspect-like", "seed": True,
+                  "emission": {"duration": 0.01}}),
+    ("simulate", {"preset": "aspect-like", "repeats": True,
+                  "emission": {"duration": 0.01}}),
+    ("simulate", {"preset": "aspect-like", "emission": {"mean_rate": True, "duration": 0.01}}),
+    ("simulate", {"detector_a": {"jitter_sigma": False}}),
+    ("stats", {"x": True, "y": 3, "z": 6, "Z": 16}),
+    ("stats", {"x": 1, "y": 3, "z": 6, "Z": 16, "duration": True}),
+    ("sweep", {"parameter": "mean_rate", "values": [True],
+               "scenario": {"emission": {"duration": 0.01}}}),
+], ids=["seed", "repeats", "mean_rate", "jitter_sigma", "count", "duration", "sweep_value"])
+def test_boolean_used_as_number_is_json_error(tmp_path, capsys, command, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"

@@ -11,14 +11,12 @@ from bellsim.detection import (
     ABSENT,
     DetectorConfig,
     PolariserSetting,
+    _wave_candidates,
     apply_dead_time,
-    detect_particle,
-    detect_wave,
     polariser,
     simulate_side,
-    transmit_particle,
 )
-from bellsim.source import EmissionConfig, PairEmission, generate_emissions
+from bellsim.source import EmissionConfig, EmissionStream, generate_emissions
 
 # independent quadrature oracles, frozen before the implementation:
 # mean over uniform lambda of cos^2(lambda)            = 1/2
@@ -27,6 +25,17 @@ from bellsim.source import EmissionConfig, PairEmission, generate_emissions
 HALVING_FRACTION = 0.5
 COS4_FRACTION = 0.375
 UNIT_HAZARD_CLICK_PROB = 0.6321205588285577
+
+
+# a noiseless particle detector: every transmitted signal clicks, on time
+EXACT = DetectorConfig(model="particle", eta0=1.0, jitter_sigma=0.0, dead_time=0.0)
+
+
+def _fixed_stream(n: int, lam: float, t0: float = 100.0, b_delay: float = 0.0,
+                  spacing: float = 1.0e3) -> EmissionStream:
+    """n emissions spaced far apart, all with hidden angle lam."""
+    return EmissionStream(t0=t0 + spacing * np.arange(n), lam=np.full(n, lam),
+                          b_delay=np.full(n, b_delay))
 
 
 def _uniform_stream(n_target: int, seed: int, tau: float = 5.0):
@@ -44,62 +53,54 @@ def test_quadrature_oracles_still_hold():
 
 
 @given(angle=st.floats(min_value=-10.0, max_value=10.0),
-       u=st.floats(min_value=0.0, max_value=0.999999))
-def test_transmit_aligned_always_passes(angle, u):
-    assert transmit_particle(angle, polariser(angle), u)
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_transmit_aligned_always_passes(angle, seed):
+    stream = _fixed_stream(50, angle)
+    clicks = simulate_side(stream, "A", polariser(angle), EXACT, np.random.default_rng(seed))
+    assert clicks.emission_index.tolist() == list(range(50))
 
 
 @given(angle=st.floats(min_value=-10.0, max_value=10.0),
-       u=st.floats(min_value=1.0e-12, max_value=0.999999))
-def test_transmit_crossed_never_passes(angle, u):
-    # u is kept above float noise: cos^2 at a crossed setting is not an
-    # exact zero, only ~1e-32
-    assert not transmit_particle(angle + math.pi / 2.0, polariser(angle), u)
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_transmit_crossed_never_passes(angle, seed):
+    # cos^2 at a crossed setting is not an exact zero, only ~1e-32, so a
+    # pass needs a uniform draw below that
+    stream = _fixed_stream(50, angle + math.pi / 2.0)
+    clicks = simulate_side(stream, "A", polariser(angle), EXACT, np.random.default_rng(seed))
+    assert clicks.size == 0
 
 
-@given(lam=st.floats(min_value=0.0, max_value=3.1), u=st.floats(min_value=0.0, max_value=0.999999))
-def test_transmit_absent_always_passes(lam, u):
-    assert transmit_particle(lam, ABSENT, u)
-
-
-@pytest.mark.parametrize("u", [-0.1, 1.0, 1.5])
-def test_transmit_rejects_bad_draws(u):
-    with pytest.raises(ValueError):
-        transmit_particle(0.3, polariser(0.0), u)
+@given(lam=st.floats(min_value=0.0, max_value=3.1),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_transmit_absent_always_passes(lam, seed):
+    stream = _fixed_stream(50, lam)
+    clicks = simulate_side(stream, "A", ABSENT, EXACT, np.random.default_rng(seed))
+    assert clicks.emission_index.tolist() == list(range(50))
 
 
 def test_transmit_halving_rate_over_uniform_lambda():
-    n = 100_000
-    rng = np.random.default_rng(10)
-    lam = rng.uniform(0.0, np.pi, n)
-    u = rng.random(n)
-    setting = polariser(0.4)
-    passed = sum(transmit_particle(float(lam[i]), setting, float(u[i])) for i in range(n))
+    stream = _uniform_stream(100_000, seed=10)
+    n = stream.size
+    passed = simulate_side(stream, "A", polariser(0.4), EXACT, np.random.default_rng(10)).size
     sigma = math.sqrt(HALVING_FRACTION * (1.0 - HALVING_FRACTION) / n)
     assert abs(passed / n - HALVING_FRACTION) < 3.0 * sigma
 
 
 def test_detect_particle_zero_efficiency_never_clicks():
-    cfg = DetectorConfig(model="particle", eta0=0.0, jitter_sigma=0.0)
-    rng = np.random.default_rng(0)
-    emission = PairEmission(t0=100.0, lam=0.2)
-    assert all(detect_particle(emission, "A", ABSENT, cfg, rng) is None for _ in range(1000))
+    cfg = DetectorConfig(model="particle", eta0=0.0, jitter_sigma=0.0, dead_time=0.0)
+    stream = _fixed_stream(1000, 0.2)
+    for side in ("A", "B"):
+        assert simulate_side(stream, side, ABSENT, cfg, np.random.default_rng(0)).size == 0
 
 
 def test_detect_particle_exact_times_without_noise():
-    cfg = DetectorConfig(model="particle", eta0=1.0, jitter_sigma=0.0)
+    stream = _fixed_stream(1, 0.2, t0=100.0, b_delay=7.5)
     rng = np.random.default_rng(0)
-    emission = PairEmission(t0=100.0, lam=0.2, b_delay=7.5)
-    assert detect_particle(emission, "A", ABSENT, cfg, rng).t == 100.0
-    assert detect_particle(emission, "B", ABSENT, cfg, rng).t == 107.5
+    assert simulate_side(stream, "A", ABSENT, EXACT, rng).times.tolist() == [100.0]
+    assert simulate_side(stream, "B", ABSENT, EXACT, rng).times.tolist() == [107.5]
     # insertion delay counts only when the polariser is in the beam
-    assert detect_particle(emission, "A", polariser(0.2, insertion_delay=3.0), cfg, rng).t == 103.0
-
-
-def test_detect_particle_rejects_wave_config():
-    cfg = DetectorConfig(model="wave")
-    with pytest.raises(ValueError):
-        detect_particle(PairEmission(t0=0.0, lam=0.0), "A", ABSENT, cfg, np.random.default_rng(0))
+    inserted = polariser(0.2, insertion_delay=3.0)
+    assert simulate_side(stream, "A", inserted, EXACT, rng).times.tolist() == [103.0]
 
 
 def test_cosine_modulated_acceptance_is_three_eighths():
@@ -114,9 +115,11 @@ def test_cosine_modulated_acceptance_is_three_eighths():
 
 
 def test_wave_zero_gain_never_clicks():
-    cfg = DetectorConfig(model="wave", wave_decay_tau=5.0, wave_gain=0.0)
-    rng = np.random.default_rng(0)
-    assert detect_wave(PairEmission(t0=0.0, lam=0.1), "A", ABSENT, cfg, rng) == []
+    cfg = DetectorConfig(model="wave", wave_decay_tau=5.0, wave_gain=0.0,
+                         allow_multiple_detections=True)
+    stream = _fixed_stream(1000, 0.1)
+    for setting in (ABSENT, polariser(0.1)):
+        assert simulate_side(stream, "A", setting, cfg, np.random.default_rng(0)).size == 0
 
 
 def test_wave_unit_hazard_click_probability():
@@ -178,15 +181,18 @@ def test_wave_multiple_detections():
 
 
 def test_detect_wave_scalar_multiple_clicks_respect_dead_time():
+    # the raw candidates, before simulate_side's dead-time thinning, which
+    # would enforce the gap whatever the candidates were
     cfg = DetectorConfig(model="wave", wave_decay_tau=50.0, wave_gain=2.0,
                          jitter_sigma=0.0, dead_time=4.0, allow_multiple_detections=True)
-    rng = np.random.default_rng(12)
-    emission = PairEmission(t0=1000.0, lam=0.0)
-    for _ in range(200):
-        events = detect_wave(emission, "B", ABSENT, cfg, rng)
-        times = [e.t for e in events]
-        assert all(t >= 1000.0 for t in times)
-        assert all(b - a >= 4.0 for a, b in zip(times, times[1:]))
+    stream = _fixed_stream(200, 0.0, t0=1.0e5, spacing=1.0e5)
+    times, ids = _wave_candidates(stream, ABSENT, cfg, np.random.default_rng(12))
+    assert np.all(times >= stream.t0[ids])
+    order = np.lexsort((times, ids))
+    times, ids = times[order], ids[order]
+    same_emission = ids[1:] == ids[:-1]
+    assert same_emission.sum() > 200  # most emissions click more than once
+    assert np.all(np.diff(times)[same_emission] >= 4.0)
 
 
 def test_apply_dead_time_trivial_cases():

@@ -140,6 +140,14 @@ def test_scenario_validation():
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError, match=name):
                 ScenarioConfig(**{name: bad})
+    # the spectrum range is checked when the scenario is built, not after
+    # the first cell has been simulated
+    with pytest.raises(ValueError, match="must contain the window"):
+        ScenarioConfig(spectrum_range=(0.0, 100.0))
+    with pytest.raises(ValueError, match="does not evenly divide"):
+        ScenarioConfig(spectrum_range=(-50.0, 50.5))
+    with pytest.raises(ValueError, match="lo < hi"):
+        ScenarioConfig(spectrum_range=(30.0, 20.0))
 
 
 def test_single_value_sweep_equals_run_scenario():
@@ -216,6 +224,15 @@ def test_scenario_from_dict_overrides_and_errors():
         scenario_from_dict({"speed": 3})
     with pytest.raises(ValueError, match="detector_b"):
         scenario_from_dict({"detector_b": {"eta0": 1.7}})
+    # JSON true/false only where the field itself is a bool
+    scenario = scenario_from_dict({"detector_a": {"allow_multiple_detections": True}})
+    assert scenario.detector_a.allow_multiple_detections is True
+    for bad in ({"seed": True}, {"repeats": True}, {"analyzer_a": False},
+                {"spectrum_range": True}, {"spectrum_range": [True, 100]},
+                {"emission": {"mean_rate": True}}, {"window": {"bin_width": True}},
+                {"detector_b": {"model": False}}):
+        with pytest.raises(ValueError, match="boolean|spectrum_range"):
+            scenario_from_dict(bad)
 
 
 def test_preset_loading_and_overrides(tmp_path):
