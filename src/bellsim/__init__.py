@@ -17,9 +17,11 @@ from bellsim.bellstats import (
     subtract_accidentals,
 )
 from bellsim.coincidence import (
+    CellPairs,
     CoincidenceSpectrum,
     WindowConfig,
     build_spectrum,
+    cell_pairs,
     count_all_pairs,
     count_coincidences,
     estimate_accidentals_delayed,
@@ -55,6 +57,7 @@ __all__ = [
     "ABSENT",
     "BellReport",
     "CONFIG_KEYS",
+    "CellPairs",
     "ClickStream",
     "CoincidenceSpectrum",
     "DetectorConfig",
@@ -73,6 +76,7 @@ __all__ = [
     "apply_dead_time",
     "build_spectrum",
     "bundled_counts_path",
+    "cell_pairs",
     "coincidence_curve",
     "compute_bell_statistics",
     "compute_visibility_statistic",

@@ -12,6 +12,21 @@ non-integer bounds. _pair_ranges finds, for each A click, the range of B
 indices that pass this gate: a searchsorted on a + bound gives a first
 guess, which is then corrected with the subtraction.
 
+A simulated cell runs this gate once for its window, its spectrum and its
+ground truth. cell_pairs gates over the union of the spectrum range and
+the window, not over the spectrum edges alone: an edge computed as
+lo + k * bin_width can fall one ulp short of window_hi. It keeps every
+pair's difference b - a. The spectrum histograms the differences inside
+its edges. Each A click's window range is read off its own differences:
+the range starts after those below window_lo and holds those inside the
+window. The difference is monotone in b, so these are the ranges the gate
+returns. count_coincidences, build_spectrum and classify_pairs_by_origin
+take the result as pairs=; without it they gate for themselves. The
+delayed estimate keeps its own gate. Its difference is
+(tB + (channel_delay + offset)) - tA, which rounds differently from the
+cell's (tB + channel_delay) - tA plus offset, so it cannot be read off
+the same differences.
+
 The one-use count needs no per-click loop. With [j0, j1) an A click's
 range, the two-pointer greedy gives click i the B index max(j0[i], prev + 1)
 if that is below j1[i], where prev is the last B index taken. Both j0 and
@@ -34,6 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bellsim.validation import require_numbers
+
 NS_PER_SECOND = 1.0e9
 
 
@@ -55,7 +72,9 @@ class WindowConfig:
     accidental_offset: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("channel_delay", "window_lo", "window_hi", "bin_width", "accidental_offset"):
+        numeric = ("channel_delay", "window_lo", "window_hi", "bin_width", "accidental_offset")
+        require_numbers(self, *numeric)
+        for name in numeric:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.window_lo < self.window_hi:
@@ -185,11 +204,10 @@ def _max_deficiency(e: np.ndarray, o: np.ndarray) -> int:
     return int(m[1, 1, 0])
 
 
-def _one_use_count(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float) -> int:
-    """Greedy one-use match count: each click pairs at most once, earliest first."""
-    j0, j1 = _pair_ranges(a, b_shifted, lo, hi)
+def _one_use_count(j0: np.ndarray, j1: np.ndarray) -> int:
+    """Greedy one-use match count of A clicks with B index ranges [j0, j1), earliest first."""
     overlap = j0[1:] < j1[:-1]
-    chained = np.zeros(a.size, dtype=bool)
+    chained = np.zeros(j0.size, dtype=bool)
     chained[1:] = overlap
     chained[:-1] |= overlap
     matched = int(np.count_nonzero(~chained & (j1 > j0)))
@@ -206,21 +224,6 @@ def _one_use_count(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float) -
         o[1:] = j1[idx[:-1]] - j0[idx[1:]]
         matched += idx.size - _max_deficiency(e, o)
     return matched
-
-
-def count_coincidences(times_a, times_b, w: WindowConfig) -> int:
-    """One-use coincidence count between two sorted click-time arrays."""
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
-    return _one_use_count(a, b, w.window_lo, w.window_hi)
-
-
-def count_all_pairs(times_a, times_b, w: WindowConfig) -> int:
-    """Every (A, B) pairing with difference inside the window, reuse allowed."""
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
-    j0, j1 = _pair_ranges(a, b, w.window_lo, w.window_hi)
-    return int((j1 - j0).sum())
 
 
 def _expand_pairs(j0: np.ndarray, j1: np.ndarray):
@@ -265,18 +268,93 @@ def spectrum_bin_edges(w: WindowConfig,
     return lo + w.bin_width * np.arange(n_bins + 1)
 
 
-def build_spectrum(times_a, times_b, w: WindowConfig,
-                   spectrum_range: tuple[float, float] | None = None) -> CoincidenceSpectrum:
-    """Histogram all pairings whose difference lies in spectrum_range (see spectrum_bin_edges)."""
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
+@dataclass(frozen=True, eq=False)
+class CellPairs:
+    """One cell's click pairs, gated once by cell_pairs.
+
+    a holds the A times and b the B times plus the channel delay. deltas
+    holds b - a for every pair in the gated range, A click by A click, and
+    [j0[i], j1[i]) is the range of B indices inside A click i's window.
+    """
+
+    w: WindowConfig
+    edges: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    deltas: np.ndarray
+    j0: np.ndarray
+    j1: np.ndarray
+
+
+def _sorted_pair(times_a, times_b, w: WindowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The validated A times and the validated B times shifted by the channel delay."""
+    return (_as_sorted_array(times_a, "times_a"),
+            _as_sorted_array(times_b, "times_b") + w.channel_delay)
+
+
+def cell_pairs(times_a, times_b, w: WindowConfig,
+               spectrum_range: tuple[float, float] | None = None) -> CellPairs:
+    """Gate every pair of one cell once, over the spectrum range and the window together."""
+    a, b = _sorted_pair(times_a, times_b, w)
     edges = spectrum_bin_edges(w, spectrum_range)
-    j0, j1 = _pair_ranges(a, b, float(edges[0]), float(edges[-1]))
-    ia, ib = _expand_pairs(j0, j1)
+    # the last edge can round one ulp below window_hi, hence the union
+    g0, g1 = _pair_ranges(a, b, min(float(edges[0]), w.window_lo),
+                          max(float(edges[-1]), w.window_hi))
+    ia, ib = _expand_pairs(g0, g1)
     deltas = b[ib] - a[ia]
-    counts, _ = np.histogram(deltas, bins=edges)
-    return CoincidenceSpectrum(bin_edges=edges, counts=counts.astype(np.int64),
-                               total_pairs_considered=int(deltas.size))
+    # an A click's differences rise with b, so the ones below the window
+    # and the ones inside it are consecutive runs of its gated range
+    below = deltas < w.window_lo
+    j0 = g0 + np.bincount(ia[below], minlength=a.size)
+    j1 = j0 + np.bincount(ia[~below & (deltas <= w.window_hi)], minlength=a.size)
+    return CellPairs(w=w, edges=edges, a=a, b=b, deltas=deltas, j0=j0, j1=j1)
+
+
+def _check_pairs(pairs: CellPairs, times_a, times_b, w: WindowConfig) -> None:
+    if pairs.w != w or len(times_a) != pairs.a.size or len(times_b) != pairs.b.size:
+        raise ValueError("pairs were built from other click arrays or another window")
+
+
+def _window_ranges(times_a, times_b, w: WindowConfig, pairs: CellPairs | None):
+    """Each A click's window range [j0, j1): read off pairs, or gated here without them."""
+    if pairs is None:
+        return _pair_ranges(*_sorted_pair(times_a, times_b, w), w.window_lo, w.window_hi)
+    _check_pairs(pairs, times_a, times_b, w)
+    return pairs.j0, pairs.j1
+
+
+def count_coincidences(times_a, times_b, w: WindowConfig, *,
+                       pairs: CellPairs | None = None) -> int:
+    """One-use coincidence count between two sorted click-time arrays."""
+    return _one_use_count(*_window_ranges(times_a, times_b, w, pairs))
+
+
+def count_all_pairs(times_a, times_b, w: WindowConfig) -> int:
+    """Every (A, B) pairing with difference inside the window, reuse allowed."""
+    j0, j1 = _window_ranges(times_a, times_b, w, None)
+    return int((j1 - j0).sum())
+
+
+def build_spectrum(times_a, times_b, w: WindowConfig,
+                   spectrum_range: tuple[float, float] | None = None, *,
+                   pairs: CellPairs | None = None) -> CoincidenceSpectrum:
+    """Histogram all pairings whose difference lies in spectrum_range (see spectrum_bin_edges).
+
+    With pairs, the range is the one pairs was built with, and spectrum_range
+    must be left out.
+    """
+    if pairs is None:
+        pairs = cell_pairs(times_a, times_b, w, spectrum_range)
+    elif spectrum_range is not None:
+        raise ValueError("pass spectrum_range to cell_pairs, not with pairs")
+    else:
+        _check_pairs(pairs, times_a, times_b, w)
+    # differences outside the edges fall in no bin, so the counts sum to
+    # the number of pairings in range
+    counts, _ = np.histogram(pairs.deltas, bins=pairs.edges)
+    counts = counts.astype(np.int64)
+    return CoincidenceSpectrum(bin_edges=pairs.edges, counts=counts,
+                               total_pairs_considered=int(counts.sum()))
 
 
 def estimate_accidentals_delayed(times_a, times_b, w: WindowConfig) -> int:
@@ -294,22 +372,19 @@ def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: 
     return n_a * n_b * w.span / (duration * NS_PER_SECOND)
 
 
-def classify_pairs_by_origin(times_a, ids_a, times_b, ids_b, w: WindowConfig) -> tuple[int, int]:
+def classify_pairs_by_origin(times_a, ids_a, times_b, ids_b, w: WindowConfig, *,
+                             pairs: CellPairs | None = None) -> tuple[int, int]:
     """Split in-window pairings into same-emission and different-emission.
 
     This needs the emission tags, so it is a simulation-only ground truth
     that no real counting experiment can access. Pairings are all-pairs in
     the window; same-emission + different-emission equals count_all_pairs.
     """
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
+    j0, j1 = _window_ranges(times_a, times_b, w, pairs)
     ja = np.asarray(ids_a)
     jb = np.asarray(ids_b)
-    if ja.size != a.size or jb.size != b.size:
+    if ja.size != len(times_a) or jb.size != len(times_b):
         raise ValueError("emission id arrays must match the click arrays in length")
-    j0, j1 = _pair_ranges(a, b, w.window_lo, w.window_hi)
     ia, ib = _expand_pairs(j0, j1)
-    if ia.size == 0:
-        return 0, 0
-    same = int((ja[ia] == jb[ib]).sum())
+    same = int(np.count_nonzero(ja[ia] == jb[ib]))
     return same, int(ia.size - same)

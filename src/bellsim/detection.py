@@ -21,6 +21,7 @@ import numpy as np
 
 from bellsim.coincidence import searchsorted_by_difference
 from bellsim.source import EmissionStream
+from bellsim.validation import require_numbers
 
 MODELS = ("particle", "wave")
 EFFICIENCY_FNS = ("constant", "cosine_modulated")
@@ -85,8 +86,10 @@ class DetectorConfig:
             raise ValueError(
                 f"unknown efficiency_fn {self.efficiency_fn!r}, expected one of {EFFICIENCY_FNS}"
             )
-        for name in ("eta0", "modulation_depth", "enhancement_factor", "jitter_sigma",
-                     "dead_time", "wave_decay_tau", "wave_gain"):
+        numeric = ("eta0", "modulation_depth", "enhancement_factor", "jitter_sigma",
+                   "dead_time", "wave_decay_tau", "wave_gain")
+        require_numbers(self, *numeric)
+        for name in numeric:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.eta0 <= 1.0:

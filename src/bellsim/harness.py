@@ -43,6 +43,7 @@ from bellsim.coincidence import (
     CoincidenceSpectrum,
     WindowConfig,
     build_spectrum,
+    cell_pairs,
     classify_pairs_by_origin,
     count_coincidences,
     estimate_accidentals_delayed,
@@ -57,6 +58,7 @@ from bellsim.detection import (
     simulate_side,
 )
 from bellsim.source import EmissionConfig, generate_emissions
+from bellsim.validation import is_number, require_numbers
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
 
@@ -84,6 +86,8 @@ class ScenarioConfig:
     spectrum_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        require_numbers(self, "analyzer_a", "relative_angle_x", "relative_angle_y",
+                        "insertion_delay_a", "insertion_delay_b", "seed", "repeats")
         for name in ("analyzer_a", "relative_angle_x", "relative_angle_y"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -100,6 +104,9 @@ class ScenarioConfig:
                 f"{self.detector_a.model!r} and {self.detector_b.model!r}"
             )
         if self.spectrum_range is not None:
+            if not (isinstance(self.spectrum_range, (tuple, list)) and len(self.spectrum_range) == 2
+                    and all(map(is_number, self.spectrum_range))):
+                raise ValueError(f"spectrum_range must be two numbers, got {self.spectrum_range!r}")
             spectrum_bin_edges(self.window, self.spectrum_range)
 
     @property
@@ -227,12 +234,16 @@ def _window_inclusion(clicks_a: ClickStream, clicks_b: ClickStream,
     """
     ua, ia = np.unique(clicks_a.emission_index, return_index=True)
     ub, ib = np.unique(clicks_b.emission_index, return_index=True)
-    common, ca, cb = np.intersect1d(ua, ub, return_indices=True)
-    if common.size == 0:
+    if ua.size == 0 or ub.size == 0:
         return 0, 0
-    delta = (clicks_b.times[ib[cb]] + w.channel_delay) - clicks_a.times[ia[ca]]
-    inside = int(((delta >= w.window_lo) & (delta <= w.window_hi)).sum())
-    return inside, int(common.size)
+    # B's first click per emission, in a table indexed by emission (-1: none)
+    first_b = np.full(max(ua[-1], ub[-1]) + 1, -1)
+    first_b[ub] = ib
+    jb = first_b[ua]
+    both = np.flatnonzero(jb >= 0)
+    delta = (clicks_b.times[jb[both]] + w.channel_delay) - clicks_a.times[ia[both]]
+    inside = int(np.count_nonzero((delta >= w.window_lo) & (delta <= w.window_hi)))
+    return inside, int(both.size)
 
 
 def _angle_of(setting: PolariserSetting) -> float | None:
@@ -256,16 +267,18 @@ def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> Config
     spec_counts = spec_total = 0
     for r in range(s.repeats):
         clicks_a, clicks_b = _simulate_cell(s, config_index, r, set_a, set_b)
-        raw += count_coincidences(clicks_a.times, clicks_b.times, s.window)
+        pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+        raw += count_coincidences(clicks_a.times, clicks_b.times, s.window, pairs=pairs)
         delayed += estimate_accidentals_delayed(clicks_a.times, clicks_b.times, s.window)
         if s.emission.duration > 0.0:
             product += estimate_accidentals_product(clicks_a.size, clicks_b.size,
                                                     s.window, s.emission.duration)
-        spectrum = build_spectrum(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+        spectrum = build_spectrum(clicks_a.times, clicks_b.times, s.window, pairs=pairs)
         spec_counts = spec_counts + spectrum.counts
         spec_total += spectrum.total_pairs_considered
         tp, ap = classify_pairs_by_origin(clicks_a.times, clicks_a.emission_index,
-                                          clicks_b.times, clicks_b.emission_index, s.window)
+                                          clicks_b.times, clicks_b.emission_index, s.window,
+                                          pairs=pairs)
         true_pairs += tp
         acc_pairs += ap
         got, tot = _window_inclusion(clicks_a, clicks_b, s.window)
@@ -367,8 +380,8 @@ class SweepSpec:
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
         for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"sweep values must be finite, got {v}")
+            if not (is_number(v) and math.isfinite(v)):
+                raise ValueError(f"sweep values must be finite numbers, got {v!r}")
 
 
 def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -516,9 +529,8 @@ def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> Scenar
     _reject_booleans(base, data, "scenario")
     if "spectrum_range" in data and data["spectrum_range"] is not None:
         rng = data["spectrum_range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2
-                and not any(isinstance(v, bool) for v in rng)):
-            raise ValueError(f"spectrum_range must be a two-element list, got {rng!r}")
+        if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(map(is_number, rng))):
+            raise ValueError(f"spectrum_range must be a two-element list of numbers, got {rng!r}")
         data["spectrum_range"] = (float(rng[0]), float(rng[1]))
     try:
         return dataclasses.replace(base, **sections, **data)

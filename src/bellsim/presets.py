@@ -32,6 +32,7 @@ from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
 from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
 from bellsim.source import EmissionConfig
+from bellsim.validation import is_number
 
 
 def aspect_like() -> ScenarioConfig:
@@ -123,12 +124,9 @@ def load_sweep_file(path) -> SweepSpec:
     if missing:
         raise ValueError(f"{path}: missing sweep field(s): {', '.join(sorted(missing))}")
     values = data["values"]
-    if not isinstance(values, list) or not values or any(isinstance(v, bool) for v in values):
+    if not isinstance(values, list) or not values or not all(map(is_number, values)):
         raise ValueError(f"{path}: 'values' must be a nonempty list of numbers")
-    try:
-        values_t = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'values' must be a nonempty list of numbers") from None
+    values_t = tuple(float(v) for v in values)
     try:
         fixed = scenario_from_file_dict(data.get("scenario", {}), origin=str(path))
         return SweepSpec(parameter=data["parameter"], values=values_t, fixed=fixed)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bellsim.validation import require_numbers
+
 NS_PER_SECOND = 1.0e9
 
 PROCESSES = ("poisson", "min_separation")
@@ -63,6 +65,8 @@ class EmissionConfig:
     fixed_angle: float = 0.0  # rad, used when hidden_variable == "fixed"
 
     def __post_init__(self) -> None:
+        require_numbers(self, "mean_rate", "duration", "min_gap", "cascade_lifetime_tau",
+                        "fixed_angle")
         if self.process not in PROCESSES:
             raise ValueError(f"unknown process {self.process!r}, expected one of {PROCESSES}")
         if self.hidden_variable not in HIDDEN_VARIABLE_MODES:

@@ -168,3 +168,22 @@ def test_boolean_used_as_number_is_json_error(tmp_path, capsys, command, documen
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("command, document", [
+    ("sweep", {"parameter": "mean_rate", "values": ["1e4"],
+               "scenario": {"emission": {"duration": 0.01}}}),
+    ("sweep", {"parameter": "mean_rate", "values": [1.0e4],
+               "scenario": {"emission": {"duration": 0.01}, "spectrum_range": ["-60", "80"]}}),
+    ("simulate", {"emission": {"duration": 0.01}, "spectrum_range": [-60, "80"]}),
+    ("simulate", {"emission": {"mean_rate": "1e4", "duration": 0.01}}),
+    ("simulate", {"emission": {"duration": 0.01}, "seed": "3"}),
+], ids=["sweep_value", "sweep_spectrum_range", "spectrum_range", "mean_rate", "seed"])
+def test_string_used_as_number_is_json_error(tmp_path, capsys, command, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import bellsim.coincidence
 from bellsim.coincidence import (
     WindowConfig,
     build_spectrum,
+    cell_pairs,
     classify_pairs_by_origin,
     count_all_pairs,
     count_coincidences,
@@ -20,6 +22,7 @@ from bellsim.coincidence import (
     estimate_accidentals_product,
 )
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
+from bellsim.harness import ScenarioConfig, _run_configuration
 from bellsim.source import EmissionConfig, generate_emissions
 
 W = WindowConfig()  # delay 0, window [-3, 17], bin 1, offset 100
@@ -138,6 +141,99 @@ def test_pair_consumers_share_the_counter_window_gate(a):
     assert a + w.window_lo - a < w.window_lo or a + w.window_hi - a > w.window_hi
 
 
+# (window span, bin width) with a whole number of bins per span, so a
+# spectrum range of whole bins can start and end anywhere on the bin grid
+_SPANS_AND_BINS = [(39.2, 0.7), (20.0, 1.0), (20.0, 0.25), (0.9, 0.3), (19.3, 0.1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from([0.0, 1.0e7, 68176891.0]),
+       a=st.lists(st.integers(min_value=0, max_value=80), max_size=25),
+       b=st.lists(st.integers(min_value=0, max_value=80), max_size=25),
+       picks=st.lists(st.integers(min_value=0, max_value=24), max_size=10),
+       lo=st.sampled_from([-24.1, -2.7, -3.3, -0.1, 0.7]),
+       span_bin=st.sampled_from(_SPANS_AND_BINS),
+       delay=st.sampled_from([0.0, 0.5]),
+       pad=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))))
+def test_shared_pairs_feed_every_consumer_exactly(base, a, b, picks, lo, span_bin, delay, pad):
+    # integer times with duplicates, plus B clicks at fl(a + lo) and
+    # fl(a + hi), where the rounded sum and the difference b - a disagree
+    # about the window edge
+    span, bin_width = span_bin
+    hi = lo + span
+    a = sorted(base + t for t in a)
+    b = [base + t for t in b]
+    if a:
+        chosen = [a[i % len(a)] for i in picks]
+        b += [t + lo for t in chosen] + [t + hi for t in chosen]
+    b = sorted(b)
+    ids_a = [i % 3 for i in range(len(a))]
+    ids_b = [i % 4 for i in range(len(b))]
+    w = WindowConfig(channel_delay=delay, window_lo=lo, window_hi=hi,
+                     bin_width=bin_width, accidental_offset=1.0e6)
+    spectrum_range = None if pad is None else (lo - pad[0] * bin_width,
+                                               hi + pad[1] * bin_width)
+    pairs = cell_pairs(a, b, w, spectrum_range)
+
+    count = count_coincidences(a, b, w, pairs=pairs)
+    assert count == count_coincidences(a, b, w)
+    assert count == _reference_one_use_count(a, [t + delay for t in b], lo, hi)
+
+    spectrum = build_spectrum(a, b, w, pairs=pairs)
+    alone = build_spectrum(a, b, w, spectrum_range)
+    edges = spectrum.bin_edges
+    np.testing.assert_array_equal(edges, alone.bin_edges)
+    np.testing.assert_array_equal(spectrum.counts, alone.counts)
+    deltas = np.array([(tb + delay) - ta for ta in a for tb in b])
+    in_range = deltas[(deltas >= edges[0]) & (deltas <= edges[-1])]
+    np.testing.assert_array_equal(spectrum.counts, np.histogram(in_range, bins=edges)[0])
+    assert spectrum.total_pairs_considered == alone.total_pairs_considered == in_range.size
+
+    split = classify_pairs_by_origin(a, ids_a, b, ids_b, w, pairs=pairs)
+    assert split == classify_pairs_by_origin(a, ids_a, b, ids_b, w)
+    in_window = [(ea == eb) for ta, ea in zip(a, ids_a) for tb, eb in zip(b, ids_b)
+                 if lo <= (tb + delay) - ta <= hi]
+    assert split == (sum(in_window), len(in_window) - sum(in_window))
+
+
+def test_shared_pairs_gate_the_window_past_a_rounded_last_edge():
+    # 56 bins of 0.7 ns from -24.1 end at 15.099999999999994, one ulp-ish
+    # short of the window's 15.1: a gate over the edges alone loses the pair
+    w = WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7)
+    pairs = cell_pairs([0.0], [15.1], w, (-24.1, 15.1))
+    assert pairs.edges[-1] < w.window_hi
+    assert count_coincidences([0.0], [15.1], w, pairs=pairs) == 1
+    assert count_coincidences([0.0], [15.1], w) == 1
+    assert classify_pairs_by_origin([0.0], [0], [15.1], [0], w, pairs=pairs) == (1, 0)
+    assert build_spectrum([0.0], [15.1], w, pairs=pairs).total_pairs_considered == 0
+
+
+def test_shared_pairs_refuse_other_clicks_or_windows():
+    pairs = cell_pairs([0.0, 10.0], [5.0], W)
+    with pytest.raises(ValueError, match="pairs"):
+        count_coincidences([0.0], [5.0], W, pairs=pairs)
+    with pytest.raises(ValueError, match="pairs"):
+        count_coincidences([0.0, 10.0], [5.0], dataclasses.replace(W, window_hi=16.0),
+                           pairs=pairs)
+    with pytest.raises(ValueError, match="pairs"):
+        build_spectrum([0.0, 10.0], [5.0], W, (-53.0, 67.0), pairs=pairs)
+
+
+def test_each_cell_gates_its_pairs_twice(monkeypatch):
+    # once for the shared pass, once for the delayed estimate's own window
+    calls = []
+    gate = bellsim.coincidence._pair_ranges
+
+    def counted(*args):
+        calls.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(bellsim.coincidence, "_pair_ranges", counted)
+    s = ScenarioConfig(emission=EmissionConfig(mean_rate=4.0e4, duration=0.01), repeats=3)
+    _run_configuration(s, 0, "x")
+    assert len(calls) == 2 * s.repeats
+
+
 @pytest.mark.parametrize("a, b", [([0.0, math.nan], [math.nan, 1.0]),
                                   ([0.0, math.inf], [1.0]),
                                   ([0.0], [-math.inf, 1.0])])
@@ -230,6 +326,11 @@ def test_window_config_validation():
         WindowConfig(bin_width=0.0)
     with pytest.raises(ValueError):
         WindowConfig(window_lo=-3.0, window_hi=17.0, accidental_offset=30.0)
+    for name in ("channel_delay", "window_lo", "bin_width"):
+        with pytest.raises(ValueError, match=name):
+            WindowConfig(**{name: True})
+    with pytest.raises(ValueError, match="window_hi"):
+        WindowConfig(window_hi="17")
 
 
 def test_delayed_estimate_zero_for_single_true_pair():

@@ -313,6 +313,10 @@ def test_simulate_side_output_is_sorted_and_sparse():
     {"dead_time": math.inf},
     {"enhancement_factor": math.nan},
     {"model": "wave", "wave_gain": math.nan},
+    {"eta0": True},
+    {"dead_time": False},
+    {"model": "wave", "wave_gain": True},
+    {"jitter_sigma": "1.0"},
 ])
 def test_invalid_detector_configs_raise(kwargs):
     with pytest.raises(ValueError):

@@ -9,11 +9,13 @@ import pytest
 
 from bellsim.bellstats import RunCounts
 from bellsim.coincidence import WindowConfig, count_all_pairs
-from bellsim.detection import DetectorConfig, simulate_side
+from bellsim.detection import ClickStream, DetectorConfig, simulate_side
 from bellsim.harness import (
     CONFIG_KEYS,
     ScenarioConfig,
     SweepSpec,
+    _simulate_cell,
+    _window_inclusion,
     apply_sweep_value,
     coincidence_curve,
     derive_rngs,
@@ -23,7 +25,13 @@ from bellsim.harness import (
     run_sweep,
     scenario_from_dict,
 )
-from bellsim.presets import PRESETS, bundled_counts_path, load_scenario_file, load_sweep_file
+from bellsim.presets import (
+    PRESETS,
+    bundled_counts_path,
+    load_scenario_file,
+    load_sweep_file,
+    wave_like,
+)
 from bellsim.source import EmissionConfig, generate_emissions
 
 SMALL = ScenarioConfig(
@@ -58,6 +66,47 @@ def test_truth_tally_and_raw_count_match_documented_seed_policy():
         assert cfg.true_pairs + cfg.accidental_pairs == all_pairs
         assert cfg.spectrum.window_integral(SMALL.window.window_lo,
                                             SMALL.window.window_hi) == all_pairs
+
+
+def _reference_window_inclusion(clicks_a, clicks_b, w):
+    first_a, first_b = {}, {}
+    for t, e in zip(clicks_a.times, clicks_a.emission_index):
+        first_a.setdefault(int(e), t)
+    for t, e in zip(clicks_b.times, clicks_b.emission_index):
+        first_b.setdefault(int(e), t)
+    common = first_a.keys() & first_b.keys()
+    inside = sum(w.window_lo <= (first_b[e] + w.channel_delay) - first_a[e] <= w.window_hi
+                 for e in common)
+    return inside, len(common)
+
+
+def test_window_inclusion_uses_each_emissions_first_clicks():
+    # multi-click wave detectors repeat emission ids on both sides
+    base = wave_like()
+    multi = dict(allow_multiple_detections=True, wave_decay_tau=5.0, wave_gain=1.0,
+                 dead_time=1.0)
+    s = dataclasses.replace(
+        base, emission=dataclasses.replace(base.emission, duration=0.002),
+        detector_a=dataclasses.replace(base.detector_a, **multi),
+        detector_b=dataclasses.replace(base.detector_b, **multi))
+    empty = ClickStream(times=np.zeros(0), emission_index=np.zeros(0, dtype=np.int64), side="B")
+    windows = (s.window, WindowConfig(channel_delay=-4.0, window_lo=-1.5, window_hi=2.5))
+    for cell in range(3):
+        clicks_a, clicks_b = _simulate_cell(s, cell, 0, *s.polariser_settings("x"))
+        assert np.unique(clicks_a.emission_index).size < clicks_a.size
+        assert np.unique(clicks_b.emission_index).size < clicks_b.size
+        for w in windows:
+            got = _window_inclusion(clicks_a, clicks_b, w)
+            assert got == _reference_window_inclusion(clicks_a, clicks_b, w)
+            assert 0 < got[0] < got[1]
+        assert _window_inclusion(clicks_a, empty, s.window) == (0, 0)
+        assert _window_inclusion(dataclasses.replace(empty, side="A"), clicks_b,
+                                 s.window) == (0, 0)
+    # A's emissions all come after B's: no emission has both
+    late = ClickStream(times=np.array([1.0, 2.0]), emission_index=np.array([7, 9]), side="A")
+    early = ClickStream(times=np.array([1.5]), emission_index=np.array([3]), side="B")
+    assert _window_inclusion(late, early, s.window) == (0, 0)
+    assert _window_inclusion(empty, empty, s.window) == (0, 0)
 
 
 def test_zero_duration_scenario_reports_no_data():
@@ -148,6 +197,17 @@ def test_scenario_validation():
         ScenarioConfig(spectrum_range=(-50.0, 50.5))
     with pytest.raises(ValueError, match="lo < hi"):
         ScenarioConfig(spectrum_range=(30.0, 20.0))
+    # a bool is an int to Python, and a numeric string converts with float()
+    for name in ("seed", "repeats", "analyzer_a", "insertion_delay_b"):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: True})
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioConfig(seed="3")
+    for bad in (("-60", "80"), (True, 100.0), (-60.0,)):
+        with pytest.raises(ValueError, match="spectrum_range"):
+            ScenarioConfig(spectrum_range=bad)
+    with pytest.raises(ValueError, match="sweep values"):
+        SweepSpec(parameter="mean_rate", values=(True,), fixed=SMALL)
 
 
 def test_single_value_sweep_equals_run_scenario():

@@ -112,6 +112,11 @@ def test_same_seed_reproduces_exactly():
     {"cascade_lifetime_tau": -2.0},
     # hard core consumes the whole mean gap: no stationary process
     {"process": "min_separation", "mean_rate": 1.0e6, "min_gap": 1000.0},
+    # booleans and numeric strings are not numbers
+    {"mean_rate": True},
+    {"duration": True},
+    {"fixed_angle": False},
+    {"mean_rate": "1e4"},
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ValueError):
