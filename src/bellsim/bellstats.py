@@ -18,9 +18,10 @@ Undefined values (zero denominators) are reported as None, never raised.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from bellsim.validation import check_keys, check_number, require_numbers
 
 LIMITS: dict[str, float] = {
     "s_std": 2.0,
@@ -56,19 +57,9 @@ class RunCounts:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (*_COUNT_FIELDS, *_ACC_FIELDS, "duration"):
-            if isinstance(getattr(self, name), bool):  # an int to Python, not a count
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in _COUNT_FIELDS:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"count {name} must be a finite number, got {v!r}")
-        for name in _ACC_FIELDS:
-            v = getattr(self, name)
-            if v is not None and not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number or None, got {v!r}")
-        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be >= 0 seconds, got {self.duration}")
+        require_numbers(self, *_COUNT_FIELDS,
+                        *(name for name in _ACC_FIELDS if getattr(self, name) is not None))
+        require_numbers(self, "duration", ge=0.0)
 
     @property
     def has_accidentals(self) -> bool:
@@ -79,13 +70,7 @@ class RunCounts:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunCounts":
-        known = {*(f.name for f in dataclasses.fields(cls))}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown counts field(s): {', '.join(sorted(unknown))}")
-        missing = [name for name in _COUNT_FIELDS if name not in data]
-        if missing:
-            raise ValueError(f"missing counts field(s): {', '.join(missing)}")
+        check_keys("counts", data, (f.name for f in dataclasses.fields(cls)), _COUNT_FIELDS)
         return cls(**data)
 
 
@@ -172,7 +157,8 @@ def compute_bell_statistics(counts: RunCounts, variant: str = "raw") -> BellRepo
     compute_visibility_statistic for that. The two-point visibility
     (x - y) / (x + y) is reported for reference.
     """
-    x, y, z, Z = counts.x, counts.y, counts.z, counts.Z
+    # in floats, where sums of JSON ints near the float limit overflow to inf
+    x, y, z, Z = (float(getattr(counts, name)) for name in _COUNT_FIELDS)
     return BellReport(
         variant=variant,
         s_std=_stat("s_std", 4.0 * (x - y), x + y),
@@ -194,9 +180,9 @@ def compute_visibility_statistic(curve: Sequence[tuple[float, float]]) -> tuple[
     """
     if len(curve) < 2:
         raise ValueError(f"curve needs at least 2 points, got {len(curve)}")
+    for i, (_, rate) in enumerate(curve):
+        check_number(f"curve rate {i}", rate, ge=0.0)
     rates = [float(r) for _, r in curve]
-    if any(not math.isfinite(r) or r < 0.0 for r in rates):
-        raise ValueError("curve rates must be finite and nonnegative")
     hi, lo = max(rates), min(rates)
     if hi + lo == 0.0:
         return 0.0, StatResult(name="s_vis", value=None, limit=LIMITS["s_vis"], violated=None)

@@ -43,15 +43,15 @@ steps, however long the chains are.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from bellsim.validation import require_numbers
+from bellsim.validation import check_number, require_numbers
 
 NS_PER_SECOND = 1.0e9
+MAX_SPECTRUM_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,17 @@ class WindowConfig:
     accidental_offset: float = 100.0
 
     def __post_init__(self) -> None:
-        numeric = ("channel_delay", "window_lo", "window_hi", "bin_width", "accidental_offset")
-        require_numbers(self, *numeric)
-        for name in numeric:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_numbers(self, "channel_delay", "window_lo", "window_hi", "accidental_offset")
+        require_numbers(self, "bin_width", gt=0.0)
+        # the delayed estimate shifts B by this sum
+        check_number("channel_delay + accidental_offset",
+                     self.channel_delay + self.accidental_offset)
         if not self.window_lo < self.window_hi:
             raise ValueError(
                 f"window_lo must be < window_hi, got [{self.window_lo}, {self.window_hi}]"
             )
-        if not self.bin_width > 0.0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if self.accidental_offset < 2.0 * self.span:
+        # an int 2: 2.0 times the int span of two large JSON ints can overflow
+        if self.accidental_offset < 2 * self.span:
             raise ValueError(
                 f"accidental_offset {self.accidental_offset} ns is too close to the "
                 f"window span {self.span} ns; it must be at least twice the span"
@@ -243,13 +242,13 @@ def spectrum_bin_edges(w: WindowConfig,
     """Bin edges of the spectrum over spectrum_range, checked against the window.
 
     The range must contain the coincidence window and be an exact number of
-    bin widths; when omitted it extends from well before the window to well
-    after it so the accidental floor on both sides is visible.
+    bin widths, at most MAX_SPECTRUM_BINS of them; when omitted it extends
+    from well before the window to well after it so the accidental floor on
+    both sides is visible.
     """
     if spectrum_range is None:
-        lo = math.floor(w.window_lo - 5.0 * w.span - 10.0)
-        hi = math.ceil(w.window_hi + 5.0 * w.span + 10.0)
-        n_bins = math.ceil((hi - lo) / w.bin_width)
+        lo = w.window_lo - 5.0 * w.span - 10.0
+        hi = w.window_hi + 5.0 * w.span + 10.0
     else:
         lo, hi = float(spectrum_range[0]), float(spectrum_range[1])
         if not lo < hi:
@@ -259,7 +258,14 @@ def spectrum_bin_edges(w: WindowConfig,
                 f"spectrum range [{lo}, {hi}] must contain the window "
                 f"[{w.window_lo}, {w.window_hi}]"
             )
-        n_bins_f = (hi - lo) / w.bin_width
+    n_bins_f = (hi - lo) / w.bin_width
+    # before rounding or allocating: finite bounds can hold inf bins
+    if not n_bins_f <= MAX_SPECTRUM_BINS:
+        raise ValueError(f"spectrum range [{lo}, {hi}] holds over {MAX_SPECTRUM_BINS} bins")
+    if spectrum_range is None:
+        lo, hi = math.floor(lo), math.ceil(hi)
+        n_bins = math.ceil((hi - lo) / w.bin_width)
+    else:
         n_bins = round(n_bins_f)
         if n_bins < 1 or abs(n_bins_f - n_bins) > 1e-9 * max(1.0, n_bins_f):
             raise ValueError(
@@ -359,8 +365,9 @@ def build_spectrum(times_a, times_b, w: WindowConfig,
 
 def estimate_accidentals_delayed(times_a, times_b, w: WindowConfig) -> int:
     """Accidental estimate from the same window shifted by accidental_offset."""
-    shifted = dataclasses.replace(w, channel_delay=w.channel_delay + w.accidental_offset)
-    return count_coincidences(times_a, times_b, shifted)
+    a = _as_sorted_array(times_a, "times_a")
+    b = _as_sorted_array(times_b, "times_b") + (w.channel_delay + w.accidental_offset)
+    return _one_use_count(*_pair_ranges(a, b, w.window_lo, w.window_hi))
 
 
 def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: float) -> float:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bellsim.coincidence import searchsorted_by_difference
+from bellsim.coincidence import _as_sorted_array, searchsorted_by_difference
 from bellsim.source import EmissionStream
-from bellsim.validation import require_numbers
+from bellsim.validation import check_bool, check_choice, check_number, require_numbers
 
 MODELS = ("particle", "wave")
 EFFICIENCY_FNS = ("constant", "cosine_modulated")
@@ -42,11 +42,9 @@ class PolariserSetting:
 
     def __post_init__(self) -> None:
         if self.angle is not None:
-            if not math.isfinite(self.angle):
-                raise ValueError(f"polariser angle must be finite, got {self.angle}")
+            check_number("angle", self.angle)
             object.__setattr__(self, "angle", self.angle % math.pi)
-        if not (math.isfinite(self.insertion_delay) and self.insertion_delay >= 0.0):
-            raise ValueError(f"insertion_delay must be >= 0, got {self.insertion_delay}")
+        check_number("insertion_delay", self.insertion_delay, ge=0.0)
 
     @property
     def present(self) -> bool:
@@ -80,38 +78,21 @@ class DetectorConfig:
     allow_multiple_detections: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if self.efficiency_fn not in EFFICIENCY_FNS:
-            raise ValueError(
-                f"unknown efficiency_fn {self.efficiency_fn!r}, expected one of {EFFICIENCY_FNS}"
-            )
-        numeric = ("eta0", "modulation_depth", "enhancement_factor", "jitter_sigma",
-                   "dead_time", "wave_decay_tau", "wave_gain")
-        require_numbers(self, *numeric)
-        for name in numeric:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.eta0 <= 1.0:
-            raise ValueError(f"eta0 must be in [0, 1], got {self.eta0}")
-        if self.enhancement_factor < 1.0:
-            raise ValueError(f"enhancement_factor must be >= 1, got {self.enhancement_factor}")
+        check_choice("model", self.model, MODELS)
+        check_choice("efficiency_fn", self.efficiency_fn, EFFICIENCY_FNS)
+        require_numbers(self, "eta0", "modulation_depth", ge=0.0, le=1.0)
+        require_numbers(self, "enhancement_factor", ge=1.0)
+        require_numbers(self, "jitter_sigma", "dead_time", ge=0.0)
+        # the wave fields are only bounded where the wave model reads them
+        wave = self.model == "wave"
+        require_numbers(self, "wave_decay_tau", gt=0.0 if wave else None)
+        require_numbers(self, "wave_gain", ge=0.0 if wave else None)
+        check_bool("allow_multiple_detections", self.allow_multiple_detections)
         if self.eta0 * self.enhancement_factor > 1.0:
             raise ValueError(
                 "eta0 * enhancement_factor must stay <= 1: "
                 f"{self.eta0} * {self.enhancement_factor} exceeds it"
             )
-        if not 0.0 <= self.modulation_depth <= 1.0:
-            raise ValueError(f"modulation_depth must be in [0, 1], got {self.modulation_depth}")
-        if self.jitter_sigma < 0.0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
-        if self.dead_time < 0.0:
-            raise ValueError(f"dead_time must be >= 0, got {self.dead_time}")
-        if self.model == "wave":
-            if not self.wave_decay_tau > 0.0:
-                raise ValueError(f"wave_decay_tau must be > 0 in wave mode, got {self.wave_decay_tau}")
-            if self.wave_gain < 0.0:
-                raise ValueError(f"wave_gain must be >= 0, got {self.wave_gain}")
 
 
 @dataclass(frozen=True)
@@ -178,13 +159,8 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
 
 def apply_dead_time(times, dead_time: float) -> np.ndarray:
     """Filter a sorted click-time array so surviving gaps are >= dead_time."""
-    t = np.asarray(times, dtype=float)
-    if not (math.isfinite(dead_time) and dead_time >= 0.0):
-        raise ValueError(f"dead_time must be finite and >= 0, got {dead_time}")
-    if not np.isfinite(t).all():
-        raise ValueError("click times must be finite")
-    if t.size > 1 and np.any(np.diff(t) < 0.0):
-        raise ValueError("click times must be sorted before dead-time filtering")
+    check_number("dead_time", dead_time, ge=0.0)
+    t = _as_sorted_array(times, "click times")
     return t[_dead_time_keep_mask(t, dead_time)]
 
 

@@ -58,7 +58,8 @@ from bellsim.detection import (
     simulate_side,
 )
 from bellsim.source import EmissionConfig, generate_emissions
-from bellsim.validation import is_number, require_numbers
+from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
+                                require_numbers)
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
 
@@ -86,28 +87,19 @@ class ScenarioConfig:
     spectrum_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        require_numbers(self, "analyzer_a", "relative_angle_x", "relative_angle_y",
-                        "insertion_delay_a", "insertion_delay_b", "seed", "repeats")
-        for name in ("analyzer_a", "relative_angle_x", "relative_angle_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("insertion_delay_a", "insertion_delay_b"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.repeats, int) and self.repeats >= 1):
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        require_numbers(self, "analyzer_a", "relative_angle_x", "relative_angle_y")
+        require_numbers(self, "insertion_delay_a", "insertion_delay_b", ge=0.0)
+        require_numbers(self, "seed", integer=True, ge=0)
+        require_numbers(self, "repeats", integer=True, ge=1)
         if self.detector_a.model != self.detector_b.model:
             raise ValueError(
                 f"both detectors must use the same model, got "
                 f"{self.detector_a.model!r} and {self.detector_b.model!r}"
             )
         if self.spectrum_range is not None:
-            if not (isinstance(self.spectrum_range, (tuple, list)) and len(self.spectrum_range) == 2
-                    and all(map(is_number, self.spectrum_range))):
-                raise ValueError(f"spectrum_range must be two numbers, got {self.spectrum_range!r}")
-            spectrum_bin_edges(self.window, self.spectrum_range)
+            check_pair("spectrum_range", self.spectrum_range)
+        # the edges of every cell's spectrum, checked before any cell runs
+        spectrum_bin_edges(self.window, self.spectrum_range)
 
     @property
     def wave_mode(self) -> bool:
@@ -373,15 +365,11 @@ class SweepSpec:
     fixed: ScenarioConfig
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}, expected one of {SWEEP_PARAMETERS}"
-            )
+        check_choice("sweep parameter", self.parameter, SWEEP_PARAMETERS)
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
-        for v in self.values:
-            if not (is_number(v) and math.isfinite(v)):
-                raise ValueError(f"sweep values must be finite numbers, got {v!r}")
+        for i, v in enumerate(self.values):
+            check_number(f"sweep values[{i}]", v)
 
 
 def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -483,59 +471,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(parameter=spec.parameter, rows=tuple(rows))
 
 
-def _reject_booleans(current, overrides: dict, where: str) -> None:
-    """Refuse JSON true/false (an int to Python) where the default is not a bool."""
-    for name, value in overrides.items():
-        if isinstance(value, bool) and not isinstance(getattr(current, name), bool):
-            raise ValueError(f"invalid {where} config: {name} must not be a boolean, "
-                             f"got {json.dumps(value)}")
-
-
 def _merge_section(current, overrides: dict, section: str):
-    if not isinstance(overrides, dict):
-        raise ValueError(f"scenario section {section!r} must be a mapping")
-    names = {f.name for f in dataclasses.fields(current)}
-    unknown = set(overrides) - names
-    if unknown:
-        raise ValueError(f"unknown field(s) in {section}: {', '.join(sorted(unknown))}")
-    _reject_booleans(current, overrides, section)
+    check_keys(section, overrides, (f.name for f in dataclasses.fields(current)))
     try:
         return dataclasses.replace(current, **overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid {section} config: {exc}") from None
-
-
-_SCENARIO_SECTIONS = ("emission", "detector_a", "detector_b", "window")
-_SCENARIO_SCALARS = ("analyzer_a", "relative_angle_x", "relative_angle_y",
-                     "insertion_delay_a", "insertion_delay_b", "seed", "repeats",
-                     "spectrum_range")
 
 
 def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Build a scenario from a JSON-shaped dict of overrides on a base."""
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario must be a mapping, got {type(data).__name__}")
+    check_keys("scenario", data, (f.name for f in dataclasses.fields(ScenarioConfig)))
     base = base if base is not None else ScenarioConfig()
-    data = dict(data)
-    sections = {
-        "emission": _merge_section(base.emission, data.pop("emission", {}), "emission"),
-        "detector_a": _merge_section(base.detector_a, data.pop("detector_a", {}), "detector_a"),
-        "detector_b": _merge_section(base.detector_b, data.pop("detector_b", {}), "detector_b"),
-        "window": _merge_section(base.window, data.pop("window", {}), "window"),
-    }
-    unknown = set(data) - set(_SCENARIO_SCALARS)
-    if unknown:
-        raise ValueError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
-    _reject_booleans(base, data, "scenario")
-    if "spectrum_range" in data and data["spectrum_range"] is not None:
-        rng = data["spectrum_range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(map(is_number, rng))):
-            raise ValueError(f"spectrum_range must be a two-element list of numbers, got {rng!r}")
-        data["spectrum_range"] = (float(rng[0]), float(rng[1]))
-    try:
-        return dataclasses.replace(base, **sections, **data)
-    except TypeError as exc:
-        raise ValueError(f"invalid scenario config: {exc}") from None
+    fields = dict(data)
+    for name in ("emission", "detector_a", "detector_b", "window"):
+        fields[name] = _merge_section(getattr(base, name), data.get(name, {}), name)
+    rng = data.get("spectrum_range")
+    if rng is not None:
+        check_pair("spectrum_range", rng)
+        fields["spectrum_range"] = (float(rng[0]), float(rng[1]))
+    return dataclasses.replace(base, **fields)
 
 
 def parse_counts_file(path) -> RunCounts:
@@ -552,36 +507,31 @@ def parse_counts_file(path) -> RunCounts:
     is_json = name.endswith(".json") or (not name.endswith(".csv") and stripped.startswith("{"))
     if is_json:
         try:
-            data = json.loads(text)
+            parsed = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{name}: expected a JSON object of counts fields")
-        try:
-            return RunCounts.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise ValueError(f"{name}: empty file")
-    rows = list(reader)
-    if len(rows) != 1:
-        raise ValueError(f"{name}: expected exactly one data row, found {len(rows)}")
-    parsed: dict = {}
-    for field, cell in rows[0].items():
-        if field is None or (cell is not None and field == ""):
-            raise ValueError(f"{name}: line 2 has more cells than the header")
-        if cell is None or cell.strip() == "":
-            continue
-        try:
-            parsed[field] = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number"
-            ) from None
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames is None:
+            raise ValueError(f"{name}: empty file")
+        rows = list(reader)
+        if len(rows) != 1:
+            raise ValueError(f"{name}: expected exactly one data row, found {len(rows)}")
+        parsed = {}
+        for field, cell in rows[0].items():
+            if field is None or (cell is not None and field == ""):
+                raise ValueError(f"{name}: line 2 has more cells than the header")
+            if cell is None or cell.strip() == "":
+                continue
+            try:
+                parsed[field] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number"
+                ) from None
     try:
         return RunCounts.from_dict(parsed)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 

@@ -32,7 +32,7 @@ from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
 from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
 from bellsim.source import EmissionConfig
-from bellsim.validation import is_number
+from bellsim.validation import check_choice, check_keys
 
 
 def aspect_like() -> ScenarioConfig:
@@ -78,58 +78,45 @@ def bundled_counts_path() -> Path:
     return Path(str(resources.files("bellsim").joinpath("data/aspect_thesis_counts.json")))
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return data
 
 
-def scenario_from_file_dict(data: dict, origin: str = "scenario") -> ScenarioConfig:
+def scenario_from_file_dict(data: dict) -> ScenarioConfig:
     """Resolve an optional "preset" key, then apply the remaining overrides."""
+    if not isinstance(data, dict) or "preset" not in data:
+        return scenario_from_dict(data)
     data = dict(data)
-    base = None
-    preset = data.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValueError(
-                f"{origin}: unknown preset {preset!r}, expected one of {sorted(PRESETS)}"
-            )
-        base = PRESETS[preset]()
-    return scenario_from_dict(data, base=base)
+    preset = data.pop("preset")
+    check_choice("preset", preset, PRESETS)
+    return scenario_from_dict(data, base=PRESETS[preset]())
 
 
 def load_scenario_file(path) -> ScenarioConfig:
     data = _load_json(path)
     try:
-        return scenario_from_file_dict(data, origin=str(path))
+        return scenario_from_file_dict(data)
     except ValueError as exc:
-        msg = str(exc)
-        raise ValueError(msg if msg.startswith(str(path)) else f"{path}: {msg}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_sweep_file(path) -> SweepSpec:
     """Sweep files hold {"parameter", "values", "scenario"}; the scenario
     section accepts the same keys (including "preset") as a scenario file."""
     data = _load_json(path)
-    extra = set(data) - {"parameter", "values", "scenario"}
-    if extra:
-        raise ValueError(f"{path}: unknown sweep field(s): {', '.join(sorted(extra))}")
-    missing = {"parameter", "values"} - set(data)
-    if missing:
-        raise ValueError(f"{path}: missing sweep field(s): {', '.join(sorted(missing))}")
-    values = data["values"]
-    if not isinstance(values, list) or not values or not all(map(is_number, values)):
-        raise ValueError(f"{path}: 'values' must be a nonempty list of numbers")
-    values_t = tuple(float(v) for v in values)
     try:
-        fixed = scenario_from_file_dict(data.get("scenario", {}), origin=str(path))
-        return SweepSpec(parameter=data["parameter"], values=values_t, fixed=fixed)
+        check_keys("sweep", data, ("parameter", "values", "scenario"), ("parameter", "values"))
+        values = data["values"]
+        if not isinstance(values, list):
+            raise ValueError("'values' must be a list of numbers")
+        spec = SweepSpec(parameter=data["parameter"], values=tuple(values),
+                         fixed=scenario_from_file_dict(data.get("scenario", {})))
+        # floats only once SweepSpec has refused strings, booleans and huge ints
+        return dataclasses.replace(spec, values=tuple(float(v) for v in values))
     except ValueError as exc:
-        msg = str(exc)
-        raise ValueError(msg if msg.startswith(str(path)) else f"{path}: {msg}") from None
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bellsim.validation import require_numbers
+from bellsim.validation import check_choice, require_numbers
 
 NS_PER_SECOND = 1.0e9
 
@@ -65,28 +65,16 @@ class EmissionConfig:
     fixed_angle: float = 0.0  # rad, used when hidden_variable == "fixed"
 
     def __post_init__(self) -> None:
-        require_numbers(self, "mean_rate", "duration", "min_gap", "cascade_lifetime_tau",
-                        "fixed_angle")
-        if self.process not in PROCESSES:
-            raise ValueError(f"unknown process {self.process!r}, expected one of {PROCESSES}")
-        if self.hidden_variable not in HIDDEN_VARIABLE_MODES:
-            raise ValueError(
-                f"unknown hidden_variable {self.hidden_variable!r}, expected one of {HIDDEN_VARIABLE_MODES}"
-            )
-        if not (self.mean_rate > 0.0 and math.isfinite(self.mean_rate)):
-            raise ValueError(f"mean_rate must be positive and finite, got {self.mean_rate}")
-        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be >= 0 and finite, got {self.duration}")
-        if not (self.min_gap >= 0.0 and math.isfinite(self.min_gap)):
-            raise ValueError(f"min_gap must be >= 0 and finite, got {self.min_gap}")
-        if not (self.cascade_lifetime_tau >= 0.0 and math.isfinite(self.cascade_lifetime_tau)):
-            raise ValueError(f"cascade_lifetime_tau must be >= 0, got {self.cascade_lifetime_tau}")
-        if not math.isfinite(self.fixed_angle):
-            raise ValueError(f"fixed_angle must be finite, got {self.fixed_angle}")
+        check_choice("process", self.process, PROCESSES)
+        check_choice("hidden_variable", self.hidden_variable, HIDDEN_VARIABLE_MODES)
+        require_numbers(self, "mean_rate", gt=0.0)
+        require_numbers(self, "duration", "min_gap", "cascade_lifetime_tau", ge=0.0)
+        require_numbers(self, "fixed_angle")
         if self.process == "min_separation":
             # mean gap is 1/rate; a hard core at or above it leaves no room
             # for the exponential part and no stationary process exists
-            if self.mean_rate * self.min_gap / NS_PER_SECOND >= 1.0:
+            # no division: a product of two JSON ints can overflow a float
+            if self.mean_rate * self.min_gap >= NS_PER_SECOND:
                 raise ValueError(
                     "min_separation needs mean_rate * min_gap < 1 second of budget: "
                     f"rate {self.mean_rate}/s with min_gap {self.min_gap} ns has none"

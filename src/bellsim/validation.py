@@ -1,23 +1,84 @@
-"""Checks shared by the config dataclasses.
+"""The one place where config values and the keys of input files are checked.
 
-Python counts a bool as an int, so True passes for 1 anywhere a number is
-compared or converted; these checks refuse it, and anything else that is
-not a real number (a numeric string included), before a config is used.
+A refused value raises ValueError naming the field; nothing is coerced,
+so a JSON integer stays an int. A number is a real number, not a bool
+(Python counts True as 1) or a string, finite, and small enough for a
+float (a 400-digit JSON integer is not). Bounds ge, gt and le compare
+the value itself. A choice is one of a set of strings, and a flag is a
+bool, not 1 or "yes". Rules that tie two fields together, such as
+window_lo < window_hi, stay in their dataclass, after its field checks.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 
 
-def is_number(value) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _shown(value) -> str:
+    """A refused value as a message shows it."""
+    if isinstance(value, bool):
+        return f"a boolean ({value!r})"
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
 
 
-def require_numbers(config, *names: str) -> None:
-    """Raise ValueError unless each named field of config is a real number."""
+def check_number(name: str, value, *, integer: bool = False,
+                 ge=None, gt=None, le=None) -> None:
+    """Raise ValueError unless value is a finite real number (an int if integer) within bounds.
+
+    A bound of None is not checked.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {_shown(value)}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {_shown(value)}") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    for bound, sign, holds in ((ge, ">=", operator.ge), (gt, ">", operator.gt),
+                               (le, "<=", operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
+
+
+def require_numbers(config, *names: str, **bounds) -> None:
+    """check_number on each named field of config, with the same bounds for each."""
     for name in names:
-        value = getattr(config, name)
-        if not is_number(value):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        check_number(name, getattr(config, name), **bounds)
+
+
+def check_pair(name: str, value) -> None:
+    """Raise ValueError unless value is a list or tuple of two numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{name} must be two numbers, got {_shown(value)}")
+    for i, v in enumerate(value):
+        check_number(f"{name}[{i}]", v)
+
+
+def check_choice(name: str, value, choices) -> None:
+    """Raise ValueError unless value is one of the strings in choices."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {_shown(value)}")
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {tuple(choices)}")
+
+
+def check_bool(name: str, value) -> None:
+    """Raise ValueError unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, got {_shown(value)}")
+
+
+def check_keys(kind: str, data: dict, known, required=()) -> None:
+    """Raise ValueError unless data is a dict with keys from known, all of required among them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {_shown(data)}")
+    for problem, names in (("unknown", set(data) - set(known)),
+                           ("missing", set(required) - set(data))):
+        if names:
+            raise ValueError(f"{problem} {kind} field(s): {', '.join(sorted(map(str, names)))}")

@@ -187,3 +187,49 @@ def test_string_used_as_number_is_json_error(tmp_path, capsys, command, document
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
+BIG = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("simulate", '{"emission": {"mean_rate": %s, "duration": 0.01}}' % BIG, "mean_rate"),
+    ("sweep", '{"parameter": "mean_rate", "values": [%s],'
+              ' "scenario": {"emission": {"duration": 0.01}}}' % BIG, "sweep values[0]"),
+    ("stats", '{"x": %s, "y": 3, "z": 6, "Z": 16}' % BIG, "x"),
+    ("simulate", '{"emission": {"duration": 0.01}, "spectrum_range": [-60, %s]}' % BIG,
+     "spectrum_range[1]"),
+], ids=["mean_rate", "sweep_value", "count", "spectrum_range"])
+def test_integer_too_large_for_a_float_is_json_error(tmp_path, capsys, command, text, field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError"
+    assert field in error["message"]
+
+
+@pytest.mark.parametrize("command, document, field", [
+    ("simulate", {"preset": ["aspect-like"]}, "preset"),
+    ("sweep", {"parameter": "mean_rate", "values": [1.0e4], "scenario": []}, "scenario"),
+    ("sweep", {"parameter": "mean_rate", "values": [1.0e4], "scenario": [["seed", 3]]},
+     "scenario"),
+    ("simulate", {"emission": {"duration": 0.01},
+                  "detector_a": {"allow_multiple_detections": "yes"}},
+     "allow_multiple_detections"),
+    ("simulate", {"emission": {"duration": 0.01},
+                  "detector_a": {"allow_multiple_detections": 1}},
+     "allow_multiple_detections"),
+], ids=["preset_list", "sweep_scenario_list", "sweep_scenario_pairs", "flag_string",
+        "flag_integer"])
+def test_malformed_shape_is_json_error(tmp_path, capsys, command, document, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert field in json.loads(captured.err)["error"]["message"]
