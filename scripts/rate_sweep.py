@@ -33,7 +33,8 @@ def main() -> None:
     )
     result = run_sweep(SweepSpec(parameter="mean_rate",
                                  values=tuple(args.rates), fixed=fixed))
-    result.to_csv(args.out)
+    with open(args.out, "w", newline="") as fh:
+        fh.write(result.to_csv_text())
 
     print(f"{'rate/s':>10} {'acc/true':>9} {'S_F raw':>8} {'S_F corr':>9} {'S_F truth':>10}")
     for row in result.rows:

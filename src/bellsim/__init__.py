@@ -22,7 +22,7 @@ from bellsim.coincidence import (
     WindowConfig,
     build_spectrum,
     cell_pairs,
-    count_all_pairs,
+    classify_pairs_by_origin,
     count_coincidences,
     estimate_accidentals_delayed,
     estimate_accidentals_product,
@@ -77,10 +77,10 @@ __all__ = [
     "build_spectrum",
     "bundled_counts_path",
     "cell_pairs",
+    "classify_pairs_by_origin",
     "coincidence_curve",
     "compute_bell_statistics",
     "compute_visibility_statistic",
-    "count_all_pairs",
     "count_coincidences",
     "estimate_accidentals_delayed",
     "estimate_accidentals_product",

@@ -12,20 +12,21 @@ non-integer bounds. _pair_ranges finds, for each A click, the range of B
 indices that pass this gate: a searchsorted on a + bound gives a first
 guess, which is then corrected with the subtraction.
 
-A simulated cell runs this gate once for its window, its spectrum and its
-ground truth. cell_pairs gates over the union of the spectrum range and
-the window, not over the spectrum edges alone: an edge computed as
-lo + k * bin_width can fall one ulp short of window_hi. It keeps every
-pair's difference b - a. The spectrum histograms the differences inside
-its edges. Each A click's window range is read off its own differences:
-the range starts after those below window_lo and holds those inside the
-window. The difference is monotone in b, so these are the ranges the gate
-returns. count_coincidences, build_spectrum and classify_pairs_by_origin
-take the result as pairs=; without it they gate for themselves. The
-delayed estimate keeps its own gate. Its difference is
-(tB + (channel_delay + offset)) - tA, which rounds differently from the
-cell's (tB + channel_delay) - tA plus offset, so it cannot be read off
-the same differences.
+A simulated cell runs this gate once, in cell_pairs, and every consumer
+reads the one CellPairs it returns: the count, the delayed estimate, the
+spectrum and the ground truth. cell_pairs gates over the union of the
+spectrum range and the window, not over the spectrum edges alone: an
+edge computed as lo + k * bin_width can fall one ulp short of window_hi.
+It keeps every pair's difference b - a. The spectrum histograms the
+differences inside its edges. Each A click's window range is read off
+its own differences: the range starts after those below window_lo and
+holds those inside the window. The difference is monotone in b, so these
+are the ranges the gate returns. The offset window of the delayed
+estimate, [window_lo - offset, window_hi - offset] on the same
+differences, is read off them the same way. Only when it does not lie
+inside the gated range (a huge offset, or a tight spectrum range) is it
+gated apart, over the same arrays; widening the union instead would
+expand every pair in between.
 
 The one-use count needs no per-click loop. With [j0, j1) an A click's
 range, the two-pointer greedy gives click i the B index max(j0[i], prev + 1)
@@ -52,6 +53,8 @@ from bellsim.validation import check_number, require_numbers
 
 NS_PER_SECOND = 1.0e9
 MAX_SPECTRUM_BINS = 1_000_000
+# a gated pair takes 30 to 50 bytes of peak memory, so a cell stays under 2.5 GB
+MAX_PAIRS_PER_CELL = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,10 @@ class WindowConfig:
     def __post_init__(self) -> None:
         require_numbers(self, "channel_delay", "window_lo", "window_hi", "accidental_offset")
         require_numbers(self, "bin_width", gt=0.0)
-        # the delayed estimate shifts B by this sum
+        # the delayed channel shifts B by this sum, and its window starts here
         check_number("channel_delay + accidental_offset",
                      self.channel_delay + self.accidental_offset)
+        check_number("window_lo - accidental_offset", self.window_lo - self.accidental_offset)
         if not self.window_lo < self.window_hi:
             raise ValueError(
                 f"window_lo must be < window_hi, got [{self.window_lo}, {self.window_hi}]"
@@ -106,19 +110,6 @@ class CoincidenceSpectrum:
             raise ValueError("bin_edges must have exactly one more entry than counts")
         if np.any(self.counts < 0):
             raise ValueError("spectrum counts must be nonnegative")
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
-
-    def window_integral(self, lo: float, hi: float) -> int:
-        """Sum counts over [lo, hi]; the bounds must sit on bin edges."""
-        i0 = int(np.argmin(np.abs(self.bin_edges - lo)))
-        i1 = int(np.argmin(np.abs(self.bin_edges - hi)))
-        tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if abs(self.bin_edges[i0] - lo) > tol or abs(self.bin_edges[i1] - hi) > tol:
-            raise ValueError(f"[{lo}, {hi}] does not align with the spectrum bin edges")
-        return int(self.counts[i0:i1].sum())
 
     def to_dict(self) -> dict:
         return {
@@ -225,10 +216,18 @@ def _one_use_count(j0: np.ndarray, j1: np.ndarray) -> int:
     return matched
 
 
-def _expand_pairs(j0: np.ndarray, j1: np.ndarray):
-    """Expand per-A index ranges into flat (a_index, b_index) arrays."""
+def _expand_pairs(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
+    """Expand per-A index ranges, gated over [lo, hi], into flat (a_index, b_index) arrays.
+
+    More than MAX_PAIRS_PER_CELL pairs are refused before any is allocated.
+    """
     counts = j1 - j0
     total = int(counts.sum())
+    if total > MAX_PAIRS_PER_CELL:
+        raise ValueError(
+            f"{total} click pairs in one cell's gated range [{lo}, {hi}] ns exceed the cap "
+            f"of {MAX_PAIRS_PER_CELL}; lower the rate or the duration, or narrow the range"
+        )
     ia = np.repeat(np.arange(j0.size), counts)
     if total == 0:
         return ia, np.zeros(0, dtype=np.int64)
@@ -279,95 +278,81 @@ class CellPairs:
     """One cell's click pairs, gated once by cell_pairs.
 
     a holds the A times and b the B times plus the channel delay. deltas
-    holds b - a for every pair in the gated range, A click by A click, and
-    [j0[i], j1[i]) is the range of B indices inside A click i's window.
+    holds b - a for every pair in the gated range, and edges the spectrum's
+    bin edges. [j0[i], j1[i]) is the range of B indices inside A click i's
+    window, and window_a, window_b are the A and B indices of every pair in
+    the window. [k0[i], k1[i]) is A click i's range in the offset window
+    [window_lo - accidental_offset, window_hi - accidental_offset].
     """
 
-    w: WindowConfig
     edges: np.ndarray
     a: np.ndarray
     b: np.ndarray
     deltas: np.ndarray
     j0: np.ndarray
     j1: np.ndarray
+    window_a: np.ndarray
+    window_b: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
 
 
-def _sorted_pair(times_a, times_b, w: WindowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The validated A times and the validated B times shifted by the channel delay."""
-    return (_as_sorted_array(times_a, "times_a"),
-            _as_sorted_array(times_b, "times_b") + w.channel_delay)
+def _ranges_from_deltas(g0: np.ndarray, ia: np.ndarray, deltas: np.ndarray,
+                        lo: float, hi: float):
+    """Each A click's range [j0, j1) with lo <= b - a <= hi, read off its gated differences.
+
+    Also returns the mask of the gated pairs inside [lo, hi]. An A click's
+    differences rise with b, so the ones below lo and the ones inside
+    [lo, hi] are consecutive runs of its gated range; [lo, hi] must lie
+    inside that range.
+    """
+    below = deltas < lo
+    inside = ~below & (deltas <= hi)
+    j0 = g0 + np.bincount(ia[below], minlength=g0.size)
+    return j0, j0 + np.bincount(ia[inside], minlength=g0.size), inside
 
 
 def cell_pairs(times_a, times_b, w: WindowConfig,
                spectrum_range: tuple[float, float] | None = None) -> CellPairs:
     """Gate every pair of one cell once, over the spectrum range and the window together."""
-    a, b = _sorted_pair(times_a, times_b, w)
+    a = _as_sorted_array(times_a, "times_a")
+    b = _as_sorted_array(times_b, "times_b") + w.channel_delay
     edges = spectrum_bin_edges(w, spectrum_range)
     # the last edge can round one ulp below window_hi, hence the union
-    g0, g1 = _pair_ranges(a, b, min(float(edges[0]), w.window_lo),
-                          max(float(edges[-1]), w.window_hi))
-    ia, ib = _expand_pairs(g0, g1)
+    lo, hi = min(float(edges[0]), w.window_lo), max(float(edges[-1]), w.window_hi)
+    g0, g1 = _pair_ranges(a, b, lo, hi)
+    ia, ib = _expand_pairs(g0, g1, lo, hi)
     deltas = b[ib] - a[ia]
-    # an A click's differences rise with b, so the ones below the window
-    # and the ones inside it are consecutive runs of its gated range
-    below = deltas < w.window_lo
-    j0 = g0 + np.bincount(ia[below], minlength=a.size)
-    j1 = j0 + np.bincount(ia[~below & (deltas <= w.window_hi)], minlength=a.size)
-    return CellPairs(w=w, edges=edges, a=a, b=b, deltas=deltas, j0=j0, j1=j1)
-
-
-def _check_pairs(pairs: CellPairs, times_a, times_b, w: WindowConfig) -> None:
-    if pairs.w != w or len(times_a) != pairs.a.size or len(times_b) != pairs.b.size:
-        raise ValueError("pairs were built from other click arrays or another window")
-
-
-def _window_ranges(times_a, times_b, w: WindowConfig, pairs: CellPairs | None):
-    """Each A click's window range [j0, j1): read off pairs, or gated here without them."""
-    if pairs is None:
-        return _pair_ranges(*_sorted_pair(times_a, times_b, w), w.window_lo, w.window_hi)
-    _check_pairs(pairs, times_a, times_b, w)
-    return pairs.j0, pairs.j1
-
-
-def count_coincidences(times_a, times_b, w: WindowConfig, *,
-                       pairs: CellPairs | None = None) -> int:
-    """One-use coincidence count between two sorted click-time arrays."""
-    return _one_use_count(*_window_ranges(times_a, times_b, w, pairs))
-
-
-def count_all_pairs(times_a, times_b, w: WindowConfig) -> int:
-    """Every (A, B) pairing with difference inside the window, reuse allowed."""
-    j0, j1 = _window_ranges(times_a, times_b, w, None)
-    return int((j1 - j0).sum())
-
-
-def build_spectrum(times_a, times_b, w: WindowConfig,
-                   spectrum_range: tuple[float, float] | None = None, *,
-                   pairs: CellPairs | None = None) -> CoincidenceSpectrum:
-    """Histogram all pairings whose difference lies in spectrum_range (see spectrum_bin_edges).
-
-    With pairs, the range is the one pairs was built with, and spectrum_range
-    must be left out.
-    """
-    if pairs is None:
-        pairs = cell_pairs(times_a, times_b, w, spectrum_range)
-    elif spectrum_range is not None:
-        raise ValueError("pass spectrum_range to cell_pairs, not with pairs")
+    j0, j1, inside = _ranges_from_deltas(g0, ia, deltas, w.window_lo, w.window_hi)
+    off_lo = w.window_lo - w.accidental_offset
+    off_hi = w.window_hi - w.accidental_offset
+    if lo <= off_lo and off_hi <= hi:
+        k0, k1, _ = _ranges_from_deltas(g0, ia, deltas, off_lo, off_hi)
     else:
-        _check_pairs(pairs, times_a, times_b, w)
+        # gated apart: widening the union would expand every pair in between
+        k0, k1 = _pair_ranges(a, b, off_lo, off_hi)
+    return CellPairs(edges=edges, a=a, b=b, deltas=deltas, j0=j0, j1=j1,
+                     window_a=ia[inside], window_b=ib[inside], k0=k0, k1=k1)
+
+
+def count_coincidences(pairs: CellPairs) -> int:
+    """One-use coincidence count of a cell's clicks in its window."""
+    return _one_use_count(pairs.j0, pairs.j1)
+
+
+def estimate_accidentals_delayed(pairs: CellPairs) -> int:
+    """Accidental estimate: the one-use count in the window shifted by accidental_offset."""
+    return _one_use_count(pairs.k0, pairs.k1)
+
+
+def build_spectrum(pairs: CellPairs) -> CoincidenceSpectrum:
+    """Histogram every pairing whose difference lies in the range pairs was built with."""
     # differences outside the edges fall in no bin, so the counts sum to
     # the number of pairings in range
     counts, _ = np.histogram(pairs.deltas, bins=pairs.edges)
     counts = counts.astype(np.int64)
     return CoincidenceSpectrum(bin_edges=pairs.edges, counts=counts,
                                total_pairs_considered=int(counts.sum()))
-
-
-def estimate_accidentals_delayed(times_a, times_b, w: WindowConfig) -> int:
-    """Accidental estimate from the same window shifted by accidental_offset."""
-    a = _as_sorted_array(times_a, "times_a")
-    b = _as_sorted_array(times_b, "times_b") + (w.channel_delay + w.accidental_offset)
-    return _one_use_count(*_pair_ranges(a, b, w.window_lo, w.window_hi))
 
 
 def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: float) -> float:
@@ -379,19 +364,17 @@ def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: 
     return n_a * n_b * w.span / (duration * NS_PER_SECOND)
 
 
-def classify_pairs_by_origin(times_a, ids_a, times_b, ids_b, w: WindowConfig, *,
-                             pairs: CellPairs | None = None) -> tuple[int, int]:
-    """Split in-window pairings into same-emission and different-emission.
+def classify_pairs_by_origin(pairs: CellPairs, ids_a, ids_b) -> tuple[int, int]:
+    """Split a cell's in-window pairings into same-emission and different-emission.
 
-    This needs the emission tags, so it is a simulation-only ground truth
-    that no real counting experiment can access. Pairings are all-pairs in
-    the window; same-emission + different-emission equals count_all_pairs.
+    ids_a and ids_b tag each click with its emission. This is a
+    simulation-only ground truth that no real counting experiment can
+    access. Pairings are all-pairs in the window, so the two add up to
+    every pairing in it.
     """
-    j0, j1 = _window_ranges(times_a, times_b, w, pairs)
     ja = np.asarray(ids_a)
     jb = np.asarray(ids_b)
-    if ja.size != len(times_a) or jb.size != len(times_b):
+    if ja.size != pairs.a.size or jb.size != pairs.b.size:
         raise ValueError("emission id arrays must match the click arrays in length")
-    ia, ib = _expand_pairs(j0, j1)
-    same = int(np.count_nonzero(ja[ia] == jb[ib]))
-    return same, int(ia.size - same)
+    same = int(np.count_nonzero(ja[pairs.window_a] == jb[pairs.window_b]))
+    return same, int(pairs.window_a.size - same)

@@ -58,10 +58,6 @@ class PolariserSetting:
 ABSENT = PolariserSetting()
 
 
-def polariser(angle: float, insertion_delay: float = 0.0) -> PolariserSetting:
-    return PolariserSetting(angle=angle, insertion_delay=insertion_delay)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Per-side detector and model parameters. Times in ns."""

@@ -259,23 +259,23 @@ def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> Config
     spec_counts = spec_total = 0
     for r in range(s.repeats):
         clicks_a, clicks_b = _simulate_cell(s, config_index, r, set_a, set_b)
-        pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
-        raw += count_coincidences(clicks_a.times, clicks_b.times, s.window, pairs=pairs)
-        delayed += estimate_accidentals_delayed(clicks_a.times, clicks_b.times, s.window)
-        if s.emission.duration > 0.0:
-            product += estimate_accidentals_product(clicks_a.size, clicks_b.size,
-                                                    s.window, s.emission.duration)
-        spectrum = build_spectrum(clicks_a.times, clicks_b.times, s.window, pairs=pairs)
-        spec_counts = spec_counts + spectrum.counts
-        spec_total += spectrum.total_pairs_considered
-        tp, ap = classify_pairs_by_origin(clicks_a.times, clicks_a.emission_index,
-                                          clicks_b.times, clicks_b.emission_index, s.window,
-                                          pairs=pairs)
-        true_pairs += tp
-        acc_pairs += ap
+        # before the pair pass, so that its arrays and the pass's are never alive together
         got, tot = _window_inclusion(clicks_a, clicks_b, s.window)
         incl_in += got
         incl_tot += tot
+        pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+        raw += count_coincidences(pairs)
+        delayed += estimate_accidentals_delayed(pairs)
+        if s.emission.duration > 0.0:
+            product += estimate_accidentals_product(clicks_a.size, clicks_b.size,
+                                                    s.window, s.emission.duration)
+        spectrum = build_spectrum(pairs)
+        spec_counts = spec_counts + spectrum.counts
+        spec_total += spectrum.total_pairs_considered
+        tp, ap = classify_pairs_by_origin(pairs, clicks_a.emission_index,
+                                          clicks_b.emission_index)
+        true_pairs += tp
+        acc_pairs += ap
         singles_a += clicks_a.size
         singles_b += clicks_b.size
     return ConfigurationResult(
@@ -348,7 +348,8 @@ def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> li
         total = 0
         for r in range(s.repeats):
             clicks_a, clicks_b = _simulate_cell(s, 4 + i, r, set_a, set_b)
-            total += count_coincidences(clicks_a.times, clicks_b.times, s.window)
+            total += count_coincidences(cell_pairs(clicks_a.times, clicks_b.times, s.window,
+                                                   s.spectrum_range))
         curve.append((float(rel), total))
     return curve
 
@@ -431,29 +432,13 @@ class SweepResult:
             (acc_total / true_total) if true_total else None,
         ]
 
-    def to_csv(self, path_or_buffer) -> None:
-        def _write(fh) -> None:
-            writer = csv.writer(fh)
-            writer.writerow(_SWEEP_COLUMNS)
-            for row in self.rows:
-                writer.writerow(["" if v is None else v for v in self._row_values(row)])
-
-        if hasattr(path_or_buffer, "write"):
-            _write(path_or_buffer)
-        else:
-            with open(path_or_buffer, "w", newline="") as fh:
-                _write(fh)
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
-        self.to_csv(buf)
+        writer = csv.writer(buf)
+        writer.writerow(_SWEEP_COLUMNS)
+        for row in self.rows:
+            writer.writerow(["" if v is None else v for v in self._row_values(row)])
         return buf.getvalue()
-
-    def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "rows": [{"value": r.value, "report": r.report.to_dict()} for r in self.rows],
-        }
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -510,6 +495,8 @@ def parse_counts_file(path) -> RunCounts:
             parsed = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer of more digits than Python converts
+            raise ValueError(f"{name}: {exc}") from None
     else:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None:

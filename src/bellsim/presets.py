@@ -85,6 +85,8 @@ def _load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def scenario_from_file_dict(data: dict) -> ScenarioConfig:

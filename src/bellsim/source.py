@@ -20,6 +20,9 @@ import numpy as np
 from bellsim.validation import check_choice, require_numbers
 
 NS_PER_SECOND = 1.0e9
+# a cell's peak memory grows by about 150 bytes per emission, so this keeps
+# a run under about 3 GB; cells run one after another
+MAX_EMISSIONS_PER_CELL = 20_000_000
 
 PROCESSES = ("poisson", "min_separation")
 HIDDEN_VARIABLE_MODES = ("uniform", "fixed")
@@ -79,6 +82,13 @@ class EmissionConfig:
                     "min_separation needs mean_rate * min_gap < 1 second of budget: "
                     f"rate {self.mean_rate}/s with min_gap {self.min_gap} ns has none"
                 )
+        if not math.isfinite(self.duration * NS_PER_SECOND):
+            raise ValueError(f"duration {self.duration} s is too long to hold in ns")
+        if self.mean_rate * self.duration > MAX_EMISSIONS_PER_CELL:
+            raise ValueError(
+                f"mean_rate {self.mean_rate}/s over duration {self.duration} s expects more "
+                f"than {MAX_EMISSIONS_PER_CELL} emissions per cell"
+            )
 
     @property
     def mean_gap_ns(self) -> float:

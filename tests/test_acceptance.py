@@ -14,7 +14,7 @@ import pytest
 import scipy.stats
 
 from bellsim.bellstats import LIMITS, compute_visibility_statistic
-from bellsim.coincidence import WindowConfig, build_spectrum
+from bellsim.coincidence import WindowConfig, build_spectrum, cell_pairs
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
 from bellsim.harness import (
     ScenarioConfig,
@@ -202,7 +202,7 @@ def test_criterion_8_spectrum_tail_and_flat_floor(capsys):
         cfg = DetectorConfig(jitter_sigma=0.0, dead_time=0.0)
         clicks.append(simulate_side(stream, side, ABSENT, cfg,
                                     np.random.default_rng(seed + 10)).times)
-    flat = build_spectrum(clicks[0], clicks[1], w, spectrum_range=(-100.0, 100.0))
+    flat = build_spectrum(cell_pairs(clicks[0], clicks[1], w, (-100.0, 100.0)))
     p_value = float(scipy.stats.chisquare(flat.counts).pvalue)
 
     ok = abs(tau - 5.0) <= 0.5 and p_value > 1e-3

@@ -233,3 +233,39 @@ def test_malformed_shape_is_json_error(tmp_path, capsys, command, document, fiel
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert field in json.loads(captured.err)["error"]["message"]
+
+
+LONG = "1" + "0" * 5000  # more digits than Python converts to an int by default
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", '{"seed": %s}' % LONG),
+    ("sweep", '{"parameter": "mean_rate", "values": [%s]}' % LONG),
+    ("stats", '{"x": %s, "y": 3, "z": 6, "Z": 16}' % LONG),
+], ids=["simulate", "sweep", "stats"])
+def test_integer_too_long_to_parse_names_the_file(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(path) in json.loads(captured.err)["error"]["message"]
+
+
+@pytest.mark.parametrize("document, words", [
+    ({"emission": {"duration": 1.0e300}}, "duration"),
+    ({"emission": {"mean_rate": 1.0e9, "duration": 1.0}}, "emissions per cell"),
+    # 1e5 emissions in 1 us with no dead time: hundreds of millions of
+    # pairs in the first cell's spectrum range, refused before expansion
+    ({"preset": "aspect-like", "emission": {"mean_rate": 1.0e11, "duration": 1.0e-6},
+      "detector_a": {"dead_time": 0.0}, "detector_b": {"dead_time": 0.0}}, "click pairs"),
+], ids=["duration", "emissions", "pairs"])
+def test_run_budget_is_json_error(tmp_path, capsys, document, words):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert words in json.loads(captured.err)["error"]["message"]

@@ -16,13 +16,13 @@ from bellsim.coincidence import (
     build_spectrum,
     cell_pairs,
     classify_pairs_by_origin,
-    count_all_pairs,
     count_coincidences,
     estimate_accidentals_delayed,
     estimate_accidentals_product,
 )
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
-from bellsim.harness import ScenarioConfig, _run_configuration
+from bellsim.harness import CONFIG_KEYS, _run_configuration
+from bellsim.presets import PRESETS
 from bellsim.source import EmissionConfig, generate_emissions
 
 W = WindowConfig()  # delay 0, window [-3, 17], bin 1, offset 100
@@ -33,26 +33,42 @@ def _poisson_clicks(rng, rate_per_s: float, duration_s: float) -> np.ndarray:
     return np.sort(rng.uniform(0.0, duration_s * 1.0e9, n))
 
 
+def _count(a, b, w=W) -> int:
+    return count_coincidences(cell_pairs(a, b, w))
+
+
+def _all_pairs(pairs) -> int:
+    # every pairing in the window, reuse allowed: the sum of the ground-truth split
+    return sum(classify_pairs_by_origin(pairs, np.zeros(pairs.a.size), np.zeros(pairs.b.size)))
+
+
+def _window_integral(spectrum, lo: float, hi: float) -> int:
+    # counts of the bins from edge lo up to edge hi; both must be edges
+    i0, i1 = np.searchsorted(spectrum.bin_edges, [lo, hi])
+    assert spectrum.bin_edges[i0] == lo and spectrum.bin_edges[i1] == hi
+    return int(spectrum.counts[i0:i1].sum())
+
+
 def test_count_trivial_containment():
-    assert count_coincidences([0.0], [5.0], W) == 1
-    assert count_coincidences([0.0], [20.0], W) == 0
+    assert _count([0.0], [5.0]) == 1
+    assert _count([0.0], [20.0]) == 0
     # window is closed on both ends
-    assert count_coincidences([0.0], [17.0], W) == 1
-    assert count_coincidences([0.0], [-3.0], W) == 1
-    assert count_coincidences([0.0], [17.0001], W) == 0
+    assert _count([0.0], [17.0]) == 1
+    assert _count([0.0], [-3.0]) == 1
+    assert _count([0.0], [17.0001]) == 0
 
 
 def test_count_uses_channel_delay():
     w = dataclasses.replace(W, channel_delay=-100.0)
-    assert count_coincidences([0.0], [105.0], w) == 1
-    assert count_coincidences([0.0], [5.0], w) == 0
+    assert _count([0.0], [105.0], w) == 1
+    assert _count([0.0], [5.0], w) == 0
 
 
 def test_count_rejects_unsorted():
     with pytest.raises(ValueError):
-        count_coincidences([5.0, 1.0], [0.0], W)
+        cell_pairs([5.0, 1.0], [0.0], W)
     with pytest.raises(ValueError):
-        count_coincidences([0.0], [5.0, 1.0], W)
+        cell_pairs([0.0], [5.0, 1.0], W)
 
 
 def _reference_one_use_count(a, b, lo, hi):
@@ -82,14 +98,14 @@ def _reference_one_use_count(a, b, lo, hi):
 def test_count_matches_reference_matcher(a, b, lo, span):
     a, b = sorted(a), sorted(b)
     w = WindowConfig(window_lo=lo, window_hi=lo + span, accidental_offset=1.0e6)
-    assert count_coincidences(a, b, w) == _reference_one_use_count(a, b, lo, lo + span)
+    assert _count(a, b, w) == _reference_one_use_count(a, b, lo, lo + span)
 
 
 def test_count_matches_reference_on_poisson_streams():
     rng = np.random.default_rng(17)
     a = _poisson_clicks(rng, 1.0e4, 1.0)  # ~1e4 clicks/side
     b = _poisson_clicks(rng, 1.0e4, 1.0)
-    got = count_coincidences(a, b, W)
+    got = _count(a, b)
     assert got == _reference_one_use_count(a.tolist(), b.tolist(), W.window_lo, W.window_hi)
     assert got > 0
 
@@ -101,7 +117,7 @@ def test_count_matches_reference_in_dense_regime():
     a = np.sort(rng.uniform(0.0, 8000.0, 4000))
     b = np.sort(rng.uniform(0.0, 8000.0, 4000))
     for w in (W, WindowConfig(window_lo=-2.7, window_hi=17.3)):
-        got = count_coincidences(a, b, w)
+        got = _count(a, b, w)
         assert got == _reference_one_use_count(a.tolist(), b.tolist(),
                                                w.window_lo, w.window_hi)
         assert got > 3000
@@ -120,10 +136,11 @@ def test_count_and_pairs_gate_on_the_difference_at_rounded_edges(a, picks, lo, s
     chosen = [a[i % len(a)] for i in picks]
     b = sorted([t + lo for t in chosen] + [t + hi for t in chosen])
     w = WindowConfig(window_lo=lo, window_hi=hi, accidental_offset=1.0e6)
-    one_use = count_coincidences(a, b, w)
+    pairs = cell_pairs(a, b, w)
+    one_use = count_coincidences(pairs)
     assert one_use == _reference_one_use_count(a, b, lo, hi)
     all_pairs = sum(lo <= tb - ta <= hi for ta in a for tb in b)
-    assert count_all_pairs(a, b, w) == all_pairs
+    assert _all_pairs(pairs) == all_pairs
     assert one_use <= all_pairs
 
 
@@ -135,9 +152,9 @@ def test_pair_consumers_share_the_counter_window_gate(a):
     w = WindowConfig(window_lo=-2.7, window_hi=17.3)
     for b in (a + w.window_lo, a + w.window_hi):
         inside = int(w.window_lo <= b - a <= w.window_hi)
-        assert count_coincidences([a], [b], w) == inside
-        assert count_all_pairs([a], [b], w) == inside
-        assert classify_pairs_by_origin([a], [0], [b], [0], w) == (inside, 0)
+        pairs = cell_pairs([a], [b], w)
+        assert count_coincidences(pairs) == inside
+        assert classify_pairs_by_origin(pairs, [0], [0]) == (inside, 0)
     assert a + w.window_lo - a < w.window_lo or a + w.window_hi - a > w.window_hi
 
 
@@ -154,46 +171,50 @@ _SPANS_AND_BINS = [(39.2, 0.7), (20.0, 1.0), (20.0, 0.25), (0.9, 0.3), (19.3, 0.
        lo=st.sampled_from([-24.1, -2.7, -3.3, -0.1, 0.7]),
        span_bin=st.sampled_from(_SPANS_AND_BINS),
        delay=st.sampled_from([0.0, 0.5]),
-       pad=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))))
-def test_shared_pairs_feed_every_consumer_exactly(base, a, b, picks, lo, span_bin, delay, pad):
+       pad=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+       far=st.booleans())
+def test_shared_pairs_feed_every_consumer_exactly(base, a, b, picks, lo, span_bin, delay, pad,
+                                                  far):
     # integer times with duplicates, plus B clicks at fl(a + lo) and
     # fl(a + hi), where the rounded sum and the difference b - a disagree
-    # about the window edge
+    # about the window edge, and the same for the offset window. At twice
+    # the span the offset window lies inside the default spectrum range
+    # and is read off the shared differences; at 1e6 ns, or beside a
+    # padded range, it is gated apart.
     span, bin_width = span_bin
     hi = lo + span
+    offset = 1.0e6 if far else 2 * (hi - lo)
+    off_lo, off_hi = lo - offset, hi - offset
     a = sorted(base + t for t in a)
     b = [base + t for t in b]
     if a:
         chosen = [a[i % len(a)] for i in picks]
-        b += [t + lo for t in chosen] + [t + hi for t in chosen]
+        b += [t + edge for t in chosen for edge in (lo, hi, off_lo, off_hi)]
     b = sorted(b)
     ids_a = [i % 3 for i in range(len(a))]
     ids_b = [i % 4 for i in range(len(b))]
     w = WindowConfig(channel_delay=delay, window_lo=lo, window_hi=hi,
-                     bin_width=bin_width, accidental_offset=1.0e6)
+                     bin_width=bin_width, accidental_offset=offset)
     spectrum_range = None if pad is None else (lo - pad[0] * bin_width,
                                                hi + pad[1] * bin_width)
     pairs = cell_pairs(a, b, w, spectrum_range)
+    shifted = [t + delay for t in b]
 
-    count = count_coincidences(a, b, w, pairs=pairs)
-    assert count == count_coincidences(a, b, w)
-    assert count == _reference_one_use_count(a, [t + delay for t in b], lo, hi)
+    assert count_coincidences(pairs) == _reference_one_use_count(a, shifted, lo, hi)
+    assert (estimate_accidentals_delayed(pairs)
+            == _reference_one_use_count(a, shifted, off_lo, off_hi))
 
-    spectrum = build_spectrum(a, b, w, pairs=pairs)
-    alone = build_spectrum(a, b, w, spectrum_range)
+    spectrum = build_spectrum(pairs)
     edges = spectrum.bin_edges
-    np.testing.assert_array_equal(edges, alone.bin_edges)
-    np.testing.assert_array_equal(spectrum.counts, alone.counts)
-    deltas = np.array([(tb + delay) - ta for ta in a for tb in b])
+    deltas = np.array([tb - ta for ta in a for tb in shifted])
     in_range = deltas[(deltas >= edges[0]) & (deltas <= edges[-1])]
     np.testing.assert_array_equal(spectrum.counts, np.histogram(in_range, bins=edges)[0])
-    assert spectrum.total_pairs_considered == alone.total_pairs_considered == in_range.size
+    assert spectrum.total_pairs_considered == in_range.size
 
-    split = classify_pairs_by_origin(a, ids_a, b, ids_b, w, pairs=pairs)
-    assert split == classify_pairs_by_origin(a, ids_a, b, ids_b, w)
-    in_window = [(ea == eb) for ta, ea in zip(a, ids_a) for tb, eb in zip(b, ids_b)
-                 if lo <= (tb + delay) - ta <= hi]
-    assert split == (sum(in_window), len(in_window) - sum(in_window))
+    in_window = [(ea == eb) for ta, ea in zip(a, ids_a) for tb, eb in zip(shifted, ids_b)
+                 if lo <= tb - ta <= hi]
+    assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
+            == (sum(in_window), len(in_window) - sum(in_window)))
 
 
 def test_shared_pairs_gate_the_window_past_a_rounded_last_edge():
@@ -202,25 +223,12 @@ def test_shared_pairs_gate_the_window_past_a_rounded_last_edge():
     w = WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7)
     pairs = cell_pairs([0.0], [15.1], w, (-24.1, 15.1))
     assert pairs.edges[-1] < w.window_hi
-    assert count_coincidences([0.0], [15.1], w, pairs=pairs) == 1
-    assert count_coincidences([0.0], [15.1], w) == 1
-    assert classify_pairs_by_origin([0.0], [0], [15.1], [0], w, pairs=pairs) == (1, 0)
-    assert build_spectrum([0.0], [15.1], w, pairs=pairs).total_pairs_considered == 0
+    assert count_coincidences(pairs) == 1
+    assert classify_pairs_by_origin(pairs, [0], [0]) == (1, 0)
+    assert build_spectrum(pairs).total_pairs_considered == 0
 
 
-def test_shared_pairs_refuse_other_clicks_or_windows():
-    pairs = cell_pairs([0.0, 10.0], [5.0], W)
-    with pytest.raises(ValueError, match="pairs"):
-        count_coincidences([0.0], [5.0], W, pairs=pairs)
-    with pytest.raises(ValueError, match="pairs"):
-        count_coincidences([0.0, 10.0], [5.0], dataclasses.replace(W, window_hi=16.0),
-                           pairs=pairs)
-    with pytest.raises(ValueError, match="pairs"):
-        build_spectrum([0.0, 10.0], [5.0], W, (-53.0, 67.0), pairs=pairs)
-
-
-def test_each_cell_gates_its_pairs_twice(monkeypatch):
-    # once for the shared pass, once for the delayed estimate's own window
+def _gate_calls(monkeypatch, s) -> int:
     calls = []
     gate = bellsim.coincidence._pair_ranges
 
@@ -229,20 +237,47 @@ def test_each_cell_gates_its_pairs_twice(monkeypatch):
         return gate(*args)
 
     monkeypatch.setattr(bellsim.coincidence, "_pair_ranges", counted)
-    s = ScenarioConfig(emission=EmissionConfig(mean_rate=4.0e4, duration=0.01), repeats=3)
-    _run_configuration(s, 0, "x")
-    assert len(calls) == 2 * s.repeats
+    for ci, key in enumerate(CONFIG_KEYS):
+        _run_configuration(s, ci, key)
+    monkeypatch.undo()
+    return len(calls)
+
+
+# gates per cell at the default spectrum range: freedman-like's offset
+# window [-102, -94] lies outside its range [-52, 56], the others' inside
+_DEFAULT_GATES = {"aspect-like": 1, "freedman-like": 2, "wave-like": 1}
+
+
+def test_each_cell_gates_its_pairs_once(monkeypatch):
+    # one gate per cell while the offset window lies inside the gated
+    # range; a second, disjoint one only when it lies outside
+    assert set(_DEFAULT_GATES) == set(PRESETS)
+    for name, preset in PRESETS.items():
+        s = preset()
+        s = dataclasses.replace(s, emission=dataclasses.replace(s.emission, duration=0.002),
+                                repeats=2)
+        cells = len(CONFIG_KEYS) * s.repeats
+        assert _gate_calls(monkeypatch, s) == _DEFAULT_GATES[name] * cells, name
+        w = s.window
+        tight = dataclasses.replace(s, spectrum_range=(w.window_lo, w.window_hi))
+        assert _gate_calls(monkeypatch, tight) == 2 * cells, name
+        far = dataclasses.replace(s, window=dataclasses.replace(w, accidental_offset=1.0e6))
+        assert _gate_calls(monkeypatch, far) == 2 * cells, name
 
 
 @pytest.mark.parametrize("a, b", [([0.0, math.nan], [math.nan, 1.0]),
                                   ([0.0, math.inf], [1.0]),
                                   ([0.0], [-math.inf, 1.0])])
 def test_pair_consumers_reject_non_finite_times(a, b):
-    for fn in (count_coincidences, count_all_pairs, estimate_accidentals_delayed):
-        with pytest.raises(ValueError, match="finite"):
-            fn(a, b, W)
     with pytest.raises(ValueError, match="finite"):
-        build_spectrum(a, b, W)
+        cell_pairs(a, b, W)
+
+
+def test_pair_expansion_is_capped_before_allocating():
+    # 8,000 clicks at one instant on each side: 64 million pairs at b - a = 0
+    clicks = np.zeros(8000)
+    with pytest.raises(ValueError, match=r"64000000 click pairs .* \[-113.0, 127.0\]"):
+        cell_pairs(clicks, clicks, W)
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,11 +288,11 @@ def test_count_translation_invariance(a, b, shift):
     # integer-valued times keep the shifted differences exact
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    assert count_coincidences(a + shift, b + shift, W) == count_coincidences(a, b, W)
+    assert _count(a + shift, b + shift) == _count(a, b)
 
 
 def test_empty_streams_give_zero_spectrum():
-    spectrum = build_spectrum([], [], W, (-53.0, 67.0))
+    spectrum = build_spectrum(cell_pairs([], [], W, (-53.0, 67.0)))
     assert spectrum.counts.sum() == 0
     assert spectrum.total_pairs_considered == 0
     assert spectrum.bin_edges[0] == -53.0
@@ -270,8 +305,8 @@ def test_spectrum_recovers_exponential_tail():
     rng = np.random.default_rng(23)
     a = _poisson_clicks(rng, 5.0e4, 1.0)
     b = np.sort(a + rng.exponential(5.0, a.size))
-    spectrum = build_spectrum(a, b, W, (-10.0, 40.0))
-    centers = spectrum.bin_edges[:-1] + 0.5 * spectrum.bin_width
+    spectrum = build_spectrum(cell_pairs(a, b, W, (-10.0, 40.0)))
+    centers = spectrum.bin_edges[:-1] + 0.5 * W.bin_width
     sel = (centers >= 2.0) & (centers <= 18.0) & (spectrum.counts > 20)
     slope = np.polyfit(centers[sel], np.log(spectrum.counts[sel]), 1)[0]
     tau_fit = -1.0 / slope
@@ -284,7 +319,7 @@ def test_spectrum_flat_for_independent_streams():
     a = _poisson_clicks(rng, 1.0e6, 0.05)
     b = _poisson_clicks(rng, 1.0e6, 0.05)
     w = dataclasses.replace(W, bin_width=4.0)
-    spectrum = build_spectrum(a, b, w, (-100.0, 100.0))
+    spectrum = build_spectrum(cell_pairs(a, b, w, (-100.0, 100.0)))
     counts = spectrum.counts
     assert counts.mean() > 100.0  # enough statistics for the chi-square to mean something
     chi2 = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
@@ -295,8 +330,12 @@ def test_spectrum_window_integral_equals_all_pairs_count():
     rng = np.random.default_rng(31)
     a = _poisson_clicks(rng, 2.0e4, 0.05)
     b = np.sort(a + rng.exponential(5.0, a.size))
-    spectrum = build_spectrum(a, b, W, (-53.0, 67.0))
-    assert spectrum.window_integral(W.window_lo, W.window_hi) == count_all_pairs(a, b, W)
+    pairs = cell_pairs(a, b, W, (-53.0, 67.0))
+    deltas = np.subtract.outer(b, a)
+    all_pairs = int(np.count_nonzero((deltas >= W.window_lo) & (deltas <= W.window_hi)))
+    assert all_pairs > 0
+    assert _window_integral(build_spectrum(pairs), W.window_lo, W.window_hi) == all_pairs
+    assert _all_pairs(pairs) == all_pairs
 
 
 def test_spectrum_counts_every_pairing_not_one_use():
@@ -304,19 +343,19 @@ def test_spectrum_counts_every_pairing_not_one_use():
     # the one-use counter sees one
     a = [0.0]
     b = [4.0, 6.0]
-    assert count_coincidences(a, b, W) == 1
-    assert count_all_pairs(a, b, W) == 2
-    spectrum = build_spectrum(a, b, W, (-53.0, 67.0))
-    assert spectrum.window_integral(W.window_lo, W.window_hi) == 2
+    pairs = cell_pairs(a, b, W, (-53.0, 67.0))
+    assert count_coincidences(pairs) == 1
+    assert _all_pairs(pairs) == 2
+    assert _window_integral(build_spectrum(pairs), W.window_lo, W.window_hi) == 2
 
 
 def test_spectrum_range_validation():
     with pytest.raises(ValueError):
-        build_spectrum([0.0], [1.0], W, (0.0, 20.0))  # does not contain window
+        cell_pairs([0.0], [1.0], W, (0.0, 20.0))  # does not contain window
     with pytest.raises(ValueError):
-        build_spectrum([0.0], [1.0], W, (-3.0, 17.5))  # not a whole number of bins
+        cell_pairs([0.0], [1.0], W, (-3.0, 17.5))  # not a whole number of bins
     with pytest.raises(ValueError):
-        build_spectrum([0.0], [1.0], W, (30.0, 20.0))
+        cell_pairs([0.0], [1.0], W, (30.0, 20.0))
 
 
 def test_window_config_validation():
@@ -334,15 +373,16 @@ def test_window_config_validation():
 
 
 def test_delayed_estimate_zero_for_single_true_pair():
-    assert estimate_accidentals_delayed([100.0], [105.0], W) == 0
+    assert estimate_accidentals_delayed(cell_pairs([100.0], [105.0], W)) == 0
 
 
 def test_delayed_estimate_matches_in_window_rate_for_independent_streams():
     rng = np.random.default_rng(37)
     a = _poisson_clicks(rng, 1.0e5, 1.0)
     b = _poisson_clicks(rng, 1.0e5, 1.0)
-    in_window = count_coincidences(a, b, W)
-    delayed = estimate_accidentals_delayed(a, b, W)
+    pairs = cell_pairs(a, b, W)
+    in_window = count_coincidences(pairs)
+    delayed = estimate_accidentals_delayed(pairs)
     product = estimate_accidentals_product(a.size, b.size, W, 1.0)
     # all three see the same stationary accidental rate (about 200 here)
     for estimate in (delayed, product):
@@ -365,9 +405,9 @@ def test_delayed_estimate_overstates_background_for_hard_core_source():
         rng = np.random.default_rng(1000 + seed)
         a = simulate_side(stream, "A", ABSENT, det, rng)
         b = simulate_side(stream, "B", ABSENT, det, rng)
-        delayed = estimate_accidentals_delayed(a.times, b.times, W)
-        _, background = classify_pairs_by_origin(a.times, a.emission_index,
-                                                 b.times, b.emission_index, W)
+        pairs = cell_pairs(a.times, b.times, W)
+        delayed = estimate_accidentals_delayed(pairs)
+        _, background = classify_pairs_by_origin(pairs, a.emission_index, b.emission_index)
         wins += delayed > background
         delayed_total += delayed
         background_total += background
@@ -395,11 +435,13 @@ def test_classify_pairs_by_origin_tiny_case():
     # pair) and 1010 (emission 2, accidental within the window of A@1000)
     a_times, a_ids = [0.0, 1000.0], [0, 1]
     b_times, b_ids = [5.0, 1010.0], [0, 2]
-    true_pairs, accidental = classify_pairs_by_origin(a_times, a_ids, b_times, b_ids, W)
+    true_pairs, accidental = classify_pairs_by_origin(cell_pairs(a_times, b_times, W),
+                                                      a_ids, b_ids)
     assert (true_pairs, accidental) == (1, 1)
-    assert true_pairs + accidental == count_all_pairs(a_times, b_times, W)
 
 
 def test_classify_requires_matching_lengths():
     with pytest.raises(ValueError):
-        classify_pairs_by_origin([0.0], [0, 1], [5.0], [0], W)
+        classify_pairs_by_origin(cell_pairs([0.0], [5.0], W), [0, 1], [0])
+    with pytest.raises(ValueError):
+        classify_pairs_by_origin(cell_pairs([0.0], [5.0], W), [0], [0, 1])

@@ -13,7 +13,6 @@ from bellsim.detection import (
     PolariserSetting,
     _wave_candidates,
     apply_dead_time,
-    polariser,
     simulate_side,
 )
 from bellsim.source import EmissionConfig, EmissionStream, generate_emissions
@@ -56,7 +55,7 @@ def test_quadrature_oracles_still_hold():
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_transmit_aligned_always_passes(angle, seed):
     stream = _fixed_stream(50, angle)
-    clicks = simulate_side(stream, "A", polariser(angle), EXACT, np.random.default_rng(seed))
+    clicks = simulate_side(stream, "A", PolariserSetting(angle), EXACT, np.random.default_rng(seed))
     assert clicks.emission_index.tolist() == list(range(50))
 
 
@@ -66,7 +65,7 @@ def test_transmit_crossed_never_passes(angle, seed):
     # cos^2 at a crossed setting is not an exact zero, only ~1e-32, so a
     # pass needs a uniform draw below that
     stream = _fixed_stream(50, angle + math.pi / 2.0)
-    clicks = simulate_side(stream, "A", polariser(angle), EXACT, np.random.default_rng(seed))
+    clicks = simulate_side(stream, "A", PolariserSetting(angle), EXACT, np.random.default_rng(seed))
     assert clicks.size == 0
 
 
@@ -81,7 +80,8 @@ def test_transmit_absent_always_passes(lam, seed):
 def test_transmit_halving_rate_over_uniform_lambda():
     stream = _uniform_stream(100_000, seed=10)
     n = stream.size
-    passed = simulate_side(stream, "A", polariser(0.4), EXACT, np.random.default_rng(10)).size
+    setting = PolariserSetting(0.4)
+    passed = simulate_side(stream, "A", setting, EXACT, np.random.default_rng(10)).size
     sigma = math.sqrt(HALVING_FRACTION * (1.0 - HALVING_FRACTION) / n)
     assert abs(passed / n - HALVING_FRACTION) < 3.0 * sigma
 
@@ -99,7 +99,7 @@ def test_detect_particle_exact_times_without_noise():
     assert simulate_side(stream, "A", ABSENT, EXACT, rng).times.tolist() == [100.0]
     assert simulate_side(stream, "B", ABSENT, EXACT, rng).times.tolist() == [107.5]
     # insertion delay counts only when the polariser is in the beam
-    inserted = polariser(0.2, insertion_delay=3.0)
+    inserted = PolariserSetting(0.2, insertion_delay=3.0)
     assert simulate_side(stream, "A", inserted, EXACT, rng).times.tolist() == [103.0]
 
 
@@ -108,7 +108,7 @@ def test_cosine_modulated_acceptance_is_three_eighths():
     stream = _uniform_stream(200_000, seed=21)
     cfg = DetectorConfig(model="particle", eta0=1.0, efficiency_fn="cosine_modulated",
                          modulation_depth=1.0, jitter_sigma=0.0, dead_time=0.0)
-    clicks = simulate_side(stream, "A", polariser(0.9), cfg, np.random.default_rng(8))
+    clicks = simulate_side(stream, "A", PolariserSetting(0.9), cfg, np.random.default_rng(8))
     fraction = clicks.size / stream.size
     sigma = math.sqrt(COS4_FRACTION * (1.0 - COS4_FRACTION) / stream.size)
     assert abs(fraction - COS4_FRACTION) < 3.0 * sigma
@@ -118,7 +118,7 @@ def test_wave_zero_gain_never_clicks():
     cfg = DetectorConfig(model="wave", wave_decay_tau=5.0, wave_gain=0.0,
                          allow_multiple_detections=True)
     stream = _fixed_stream(1000, 0.1)
-    for setting in (ABSENT, polariser(0.1)):
+    for setting in (ABSENT, PolariserSetting(0.1)):
         assert simulate_side(stream, "A", setting, cfg, np.random.default_rng(0)).size == 0
 
 
@@ -145,7 +145,7 @@ def _wave_relative_times(attenuation: float, seed: int, n: int = 150_000):
     if attenuation >= 1.0:
         setting = ABSENT
     else:
-        setting = polariser(math.acos(math.sqrt(attenuation)))
+        setting = PolariserSetting(math.acos(math.sqrt(attenuation)))
     clicks = simulate_side(stream, "A", setting, det, np.random.default_rng(seed + 1))
     return clicks.times - stream.t0[clicks.emission_index], stream.size
 
@@ -244,7 +244,7 @@ def test_dead_time_output_never_violates_gap():
 def test_halving_condition_on_singles():
     stream = _uniform_stream(200_000, seed=71)
     cfg = DetectorConfig(model="particle", eta0=0.9, jitter_sigma=0.0, dead_time=0.0)
-    with_pol = simulate_side(stream, "A", polariser(1.1), cfg, np.random.default_rng(1))
+    with_pol = simulate_side(stream, "A", PolariserSetting(1.1), cfg, np.random.default_rng(1))
     without = simulate_side(stream, "A", ABSENT, cfg, np.random.default_rng(2))
     ratio = with_pol.size / without.size
     sigma = math.sqrt(0.5 * (1.0 - 0.5) / (0.9 * stream.size)) * 2.0
@@ -257,7 +257,7 @@ def test_enhancement_factor_raises_present_efficiency():
     stream = _uniform_stream(200_000, seed=81)
     cfg = DetectorConfig(model="particle", eta0=0.4, enhancement_factor=2.0,
                          jitter_sigma=0.0, dead_time=0.0)
-    with_pol = simulate_side(stream, "A", polariser(0.3), cfg, np.random.default_rng(1))
+    with_pol = simulate_side(stream, "A", PolariserSetting(0.3), cfg, np.random.default_rng(1))
     without = simulate_side(stream, "A", ABSENT, cfg, np.random.default_rng(2))
     assert abs(with_pol.size / without.size - 1.0) < 0.02
 
@@ -268,8 +268,8 @@ def test_rotational_invariance_of_singles():
     cfg = DetectorConfig(model="particle", eta0=1.0, efficiency_fn="cosine_modulated",
                          modulation_depth=0.7, jitter_sigma=0.0, dead_time=0.0)
     for theta in (0.7, 2.1):
-        at_zero = simulate_side(stream, "A", polariser(0.0), cfg, np.random.default_rng(5))
-        rotated = simulate_side(stream, "A", polariser(theta), cfg, np.random.default_rng(6))
+        at_zero = simulate_side(stream, "A", PolariserSetting(0.0), cfg, np.random.default_rng(5))
+        rotated = simulate_side(stream, "A", PolariserSetting(theta), cfg, np.random.default_rng(6))
         diff = abs(at_zero.size - rotated.size)
         assert diff < 4.0 * math.sqrt(at_zero.size + rotated.size)
 
@@ -324,7 +324,7 @@ def test_invalid_detector_configs_raise(kwargs):
 
 
 def test_polariser_angle_normalized():
-    assert polariser(math.pi + 0.25).angle == pytest.approx(0.25)
+    assert PolariserSetting(math.pi + 0.25).angle == pytest.approx(0.25)
     assert PolariserSetting().present is False
     with pytest.raises(ValueError):
         PolariserSetting(angle=0.1, insertion_delay=-1.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellsim.bellstats import RunCounts
-from bellsim.coincidence import WindowConfig, count_all_pairs
+from bellsim.coincidence import WindowConfig
 from bellsim.detection import ClickStream, DetectorConfig, simulate_side
 from bellsim.harness import (
     CONFIG_KEYS,
@@ -62,10 +62,15 @@ def test_truth_tally_and_raw_count_match_documented_seed_policy():
         cfg = report.configurations[key]
         assert cfg.singles_a == clicks_a.size
         assert cfg.singles_b == clicks_b.size
-        all_pairs = count_all_pairs(clicks_a.times, clicks_b.times, SMALL.window)
+        w = SMALL.window
+        deltas = np.subtract.outer(clicks_b.times + w.channel_delay, clicks_a.times)
+        all_pairs = int(np.count_nonzero((deltas >= w.window_lo) & (deltas <= w.window_hi)))
         assert cfg.true_pairs + cfg.accidental_pairs == all_pairs
-        assert cfg.spectrum.window_integral(SMALL.window.window_lo,
-                                            SMALL.window.window_hi) == all_pairs
+        # the spectrum's bins from edge window_lo up to edge window_hi
+        edges = cfg.spectrum.bin_edges
+        i0, i1 = np.searchsorted(edges, [w.window_lo, w.window_hi])
+        assert edges[i0] == w.window_lo and edges[i1] == w.window_hi
+        assert int(cfg.spectrum.counts[i0:i1].sum()) == all_pairs
 
 
 def _reference_window_inclusion(clicks_a, clicks_b, w):

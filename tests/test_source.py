@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bellsim.source import EmissionConfig, generate_emissions
+from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
 
 
 def test_zero_duration_gives_empty_stream():
@@ -117,10 +117,22 @@ def test_same_seed_reproduces_exactly():
     {"duration": True},
     {"fixed_angle": False},
     {"mean_rate": "1e4"},
+    # the run budget: duration * 1e9 ns must be finite, and a cell may
+    # expect at most MAX_EMISSIONS_PER_CELL emissions
+    {"duration": 1.0e300},
+    {"mean_rate": 1.0e-300, "duration": 1.0e300},
+    {"mean_rate": 2.0e7, "duration": 1.0 + 1.0e-9},
+    {"mean_rate": 10**300, "duration": 10**300},
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ValueError):
         EmissionConfig(**kwargs)
+
+
+def test_emissions_cap_admits_a_cell_at_the_cap():
+    # building the config draws nothing, so the cap itself is cheap to check
+    cfg = EmissionConfig(mean_rate=MAX_EMISSIONS_PER_CELL / 4.0, duration=4.0)
+    assert cfg.mean_rate * cfg.duration == MAX_EMISSIONS_PER_CELL
 
 
 @settings(max_examples=25, deadline=None)

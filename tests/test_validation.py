@@ -73,6 +73,11 @@ def test_cross_field_rules_refuse_sums_and_products_that_overflow():
     for big in (1.0e308, 10**308):
         with pytest.raises(ValueError, match="channel_delay"):
             WindowConfig(channel_delay=big, accidental_offset=big)
+    # the offset window starts at window_lo - accidental_offset
+    for lo, hi, offset in ((-1.7e308, -1.6e308, 1.0e308),
+                           (-17 * 10**307, -16 * 10**307, 10**308)):
+        with pytest.raises(ValueError, match="window_lo - accidental_offset"):
+            WindowConfig(window_lo=lo, window_hi=hi, accidental_offset=offset)
 
 
 def test_statistics_of_counts_near_the_float_limit_do_not_raise():
