@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from bellsim.validation import check_keys, check_number, require_numbers
 
@@ -104,15 +104,12 @@ class BellReport:
     s_std: StatResult
     s_chsh: StatResult
     s_freedman: StatResult
-    s_vis: StatResult | None = None  # needs a full angle curve, often absent
     visibility: float | None = None  # two-point (x - y) / (x + y) when defined
     negative_counts: bool = False  # subtraction drove some count below zero
     no_data: bool = False  # all four configuration counts were zero
 
-    def statistics(self) -> Iterable[StatResult]:
-        for s in (self.s_std, self.s_chsh, self.s_freedman, self.s_vis):
-            if s is not None:
-                yield s
+    def statistics(self) -> tuple[StatResult, ...]:
+        return (self.s_std, self.s_chsh, self.s_freedman)
 
     def to_dict(self) -> dict:
         return {

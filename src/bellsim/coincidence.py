@@ -111,6 +111,12 @@ class CoincidenceSpectrum:
         if np.any(self.counts < 0):
             raise ValueError("spectrum counts must be nonnegative")
 
+    def __add__(self, other: CoincidenceSpectrum) -> CoincidenceSpectrum:
+        """The spectrum of both sets of pairings; other must have the same bin edges."""
+        return CoincidenceSpectrum(
+            bin_edges=self.bin_edges, counts=self.counts + other.counts,
+            total_pairs_considered=self.total_pairs_considered + other.total_pairs_considered)
+
     def to_dict(self) -> dict:
         return {
             "bin_edges_ns": [float(e) for e in self.bin_edges],

@@ -97,14 +97,10 @@ class ClickStream:
 
     times: np.ndarray
     emission_index: np.ndarray
-    side: str
 
     @property
     def size(self) -> int:
         return int(self.times.size)
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -235,8 +231,7 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
     Candidates are generated per emission under the configured model, merged
     into time order, then thinned by the detector dead time.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    check_choice("side", side, SIDES)
     if config.model == "particle":
         times, ids = _particle_candidates(stream, side, setting, config, rng)
     else:
@@ -245,5 +240,5 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
     times = times[order]
     ids = ids[order]
     keep = _dead_time_keep_mask(times, config.dead_time)
-    return ClickStream(times=times[keep], emission_index=ids[keep], side=side)
+    return ClickStream(times=times[keep], emission_index=ids[keep])
 

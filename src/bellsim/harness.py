@@ -8,11 +8,11 @@ single-channel experiment for equal durations each:
     z: A polariser in, B polariser removed
     Z: both polarisers removed
 
-Each configuration produces raw coincidence counts, both accidental
-estimates (delayed window and singles product), a time-difference spectrum,
-and a simulation-only tally of how many in-window pairings really came from
-one emission. Statistics are then computed raw, corrected with either
-estimate, and on the ground-truth pairs.
+Each (configuration, repeat) cell produces raw coincidence counts, both
+accidental estimates (delayed window and singles product), a time-difference
+spectrum, and a simulation-only tally of in-window pairings that came from
+one emission; a configuration sums its repeats' cells. Statistics are then
+computed raw, corrected with either estimate, and on the ground-truth pairs.
 
 Seed policy: every (configuration, repeat) cell derives its RNG from
 SeedSequence([seed, configuration_index, repeat_index]) and spawns three
@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,7 +58,7 @@ from bellsim.detection import (
 )
 from bellsim.source import EmissionConfig, generate_emissions
 from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
-                                require_numbers)
+                                parse_json, require_numbers)
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
 
@@ -129,7 +128,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ConfigurationResult:
-    """Aggregated outcome of all repeats of one polariser configuration."""
+    """The outcome of one cell of a polariser configuration, or of several summed with +."""
 
     key: str
     angle_a: float | None  # None when the polariser is out
@@ -141,8 +140,20 @@ class ConfigurationResult:
     singles_b: int
     true_pairs: int  # in-window pairings from one emission (simulation-only)
     accidental_pairs: int  # in-window pairings from different emissions
-    window_inclusion_fraction: float | None  # share of paired emissions inside the window
+    inclusion_inside: int  # emissions whose first A and B clicks pair inside the window
+    inclusion_total: int  # emissions with a click on both sides
     spectrum: CoincidenceSpectrum
+
+    @property
+    def window_inclusion_fraction(self) -> float | None:
+        """Share of the emissions clicked on both sides that pair inside the window."""
+        return self.inclusion_inside / self.inclusion_total if self.inclusion_total else None
+
+    def __add__(self, other: ConfigurationResult) -> ConfigurationResult:
+        """Two cells of one configuration summed; key and angles are the shared ones."""
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in dataclasses.fields(self) if f.name not in ("key", "angle_a", "angle_b")})
 
     def to_dict(self) -> dict:
         return {
@@ -251,48 +262,37 @@ def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: Polar
             simulate_side(stream, "B", set_b, s.detector_b, rng_b))
 
 
-def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> ConfigurationResult:
+def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> ConfigurationResult:
     set_a, set_b = s.polariser_settings(key)
-    raw = delayed = singles_a = singles_b = 0
-    true_pairs = acc_pairs = incl_in = incl_tot = 0
-    product = 0.0
-    spec_counts = spec_total = 0
-    for r in range(s.repeats):
-        clicks_a, clicks_b = _simulate_cell(s, config_index, r, set_a, set_b)
-        # before the pair pass, so that its arrays and the pass's are never alive together
-        got, tot = _window_inclusion(clicks_a, clicks_b, s.window)
-        incl_in += got
-        incl_tot += tot
-        pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
-        raw += count_coincidences(pairs)
-        delayed += estimate_accidentals_delayed(pairs)
-        if s.emission.duration > 0.0:
-            product += estimate_accidentals_product(clicks_a.size, clicks_b.size,
-                                                    s.window, s.emission.duration)
-        spectrum = build_spectrum(pairs)
-        spec_counts = spec_counts + spectrum.counts
-        spec_total += spectrum.total_pairs_considered
-        tp, ap = classify_pairs_by_origin(pairs, clicks_a.emission_index,
-                                          clicks_b.emission_index)
-        true_pairs += tp
-        acc_pairs += ap
-        singles_a += clicks_a.size
-        singles_b += clicks_b.size
+    clicks_a, clicks_b = _simulate_cell(s, config_index, repeat, set_a, set_b)
+    # before the pair pass, so that its arrays and the pass's are never alive together
+    inside, total = _window_inclusion(clicks_a, clicks_b, s.window)
+    pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+    true_pairs, accidental_pairs = classify_pairs_by_origin(pairs, clicks_a.emission_index,
+                                                            clicks_b.emission_index)
     return ConfigurationResult(
         key=key,
         angle_a=_angle_of(set_a),
         angle_b=_angle_of(set_b),
-        raw_count=raw,
-        acc_delayed=delayed,
-        acc_product=product,
-        singles_a=singles_a,
-        singles_b=singles_b,
+        raw_count=count_coincidences(pairs),
+        acc_delayed=estimate_accidentals_delayed(pairs),
+        acc_product=(estimate_accidentals_product(clicks_a.size, clicks_b.size, s.window,
+                                                  s.emission.duration)
+                     if s.emission.duration > 0.0 else 0.0),
+        singles_a=clicks_a.size,
+        singles_b=clicks_b.size,
         true_pairs=true_pairs,
-        accidental_pairs=acc_pairs,
-        window_inclusion_fraction=(incl_in / incl_tot) if incl_tot else None,
-        spectrum=CoincidenceSpectrum(bin_edges=spectrum.bin_edges, counts=spec_counts,
-                                     total_pairs_considered=spec_total),
+        accidental_pairs=accidental_pairs,
+        inclusion_inside=inside,
+        inclusion_total=total,
+        spectrum=build_spectrum(pairs),
     )
+
+
+def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> ConfigurationResult:
+    """The sum of the configuration's cells, one per repeat, starting from cell 0."""
+    cells = (_run_cell(s, config_index, r, key) for r in range(s.repeats))
+    return sum(cells, next(cells))
 
 
 def run_scenario(s: ScenarioConfig) -> ScenarioReport:
@@ -364,13 +364,22 @@ class SweepSpec:
     parameter: str
     values: tuple[float, ...]
     fixed: ScenarioConfig
+    # each point's scenario, built here so that a refused value fails before any point runs
+    scenarios: tuple[ScenarioConfig, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_choice("sweep parameter", self.parameter, SWEEP_PARAMETERS)
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
+        scenarios = []
         for i, v in enumerate(self.values):
             check_number(f"sweep values[{i}]", v)
+            base = dataclasses.replace(self.fixed, seed=self.fixed.seed + i)
+            try:
+                scenarios.append(apply_sweep_value(base, self.parameter, v))
+            except ValueError as exc:
+                raise ValueError(f"sweep values[{i}]: {self.parameter} = {v}: {exc}") from None
+        object.__setattr__(self, "scenarios", tuple(scenarios))
 
 
 def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -413,7 +422,6 @@ _SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepResult:
-    parameter: str
     rows: tuple[SweepRow, ...]
 
     def _row_values(self, row: SweepRow) -> list:
@@ -442,18 +450,14 @@ class SweepResult:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """run_scenario once per value with seed = base seed + value index."""
+    """run_scenario on each point's scenario, whose seed is base seed + value index."""
     rows: list[SweepRow] = []
-    for i, value in enumerate(spec.values):
-        base = dataclasses.replace(spec.fixed, seed=spec.fixed.seed + i)
+    for value, scenario in zip(spec.values, spec.scenarios):
         try:
-            scenario = apply_sweep_value(base, spec.parameter, value)
             rows.append(SweepRow(value=value, report=run_scenario(scenario)))
         except Exception as exc:
-            raise RuntimeError(
-                f"sweep aborted at {spec.parameter} = {value}: {exc}"
-            ) from exc
-    return SweepResult(parameter=spec.parameter, rows=tuple(rows))
+            raise RuntimeError(f"sweep aborted at {spec.parameter} = {value}: {exc}") from exc
+    return SweepResult(rows=tuple(rows))
 
 
 def _merge_section(current, overrides: dict, section: str):
@@ -491,12 +495,7 @@ def parse_counts_file(path) -> RunCounts:
     stripped = text.lstrip()
     is_json = name.endswith(".json") or (not name.endswith(".csv") and stripped.startswith("{"))
     if is_json:
-        try:
-            parsed = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-        except ValueError as exc:  # an integer of more digits than Python converts
-            raise ValueError(f"{name}: {exc}") from None
+        parsed = parse_json(name, text)
     else:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None:

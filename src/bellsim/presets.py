@@ -24,7 +24,6 @@ Every preset is a plain ScenarioConfig; scenario files may name one in a
 from __future__ import annotations
 
 import dataclasses
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
 from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
 from bellsim.source import EmissionConfig
-from bellsim.validation import check_choice, check_keys
+from bellsim.validation import check_choice, check_keys, check_number, parse_json
 
 
 def aspect_like() -> ScenarioConfig:
@@ -80,13 +79,7 @@ def bundled_counts_path() -> Path:
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer of more digits than Python converts
-        raise ValueError(f"{path}: {exc}") from None
+        return parse_json(str(path), fh.read())
 
 
 def scenario_from_file_dict(data: dict) -> ScenarioConfig:
@@ -116,9 +109,10 @@ def load_sweep_file(path) -> SweepSpec:
         values = data["values"]
         if not isinstance(values, list):
             raise ValueError("'values' must be a list of numbers")
-        spec = SweepSpec(parameter=data["parameter"], values=tuple(values),
+        # floats only once strings, booleans and huge ints are refused
+        for i, v in enumerate(values):
+            check_number(f"sweep values[{i}]", v)
+        return SweepSpec(parameter=data["parameter"], values=tuple(float(v) for v in values),
                          fixed=scenario_from_file_dict(data.get("scenario", {})))
-        # floats only once SweepSpec has refused strings, booleans and huge ints
-        return dataclasses.replace(spec, values=tuple(float(v) for v in values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

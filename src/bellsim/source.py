@@ -46,9 +46,6 @@ class EmissionStream:
     def size(self) -> int:
         return int(self.t0.size)
 
-    def __len__(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True)
 class EmissionConfig:

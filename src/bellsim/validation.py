@@ -11,6 +11,7 @@ window_lo < window_hi, stay in their dataclass, after its field checks.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
@@ -82,3 +83,13 @@ def check_keys(kind: str, data: dict, known, required=()) -> None:
                            ("missing", set(required) - set(data))):
         if names:
             raise ValueError(f"{problem} {kind} field(s): {', '.join(sorted(map(str, names)))}")
+
+
+def parse_json(name: str, text: str):
+    """json.loads on the text of the file name, refusing bad JSON with a ValueError naming it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ValueError(f"{name}: {exc}") from None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bellsim import harness
 from bellsim.cli import main
 
 SCENARIO = {
@@ -106,6 +107,26 @@ def test_sweep_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",")[:5] == ["value", "x", "y", "z", "Z"]
     assert [float(r.split(",")[0]) for r in lines[1:]] == [8.0, 20.0]
+
+
+def test_sweep_value_is_refused_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    runs = []
+    run_scenario = harness.run_scenario
+    monkeypatch.setattr(harness, "run_scenario", lambda s: runs.append(s) or run_scenario(s))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "parameter": "mean_rate",
+        "values": [1.0e4, 1.0e12],
+        "scenario": SCENARIO,
+    }))
+    assert main(["sweep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert "values[1]: mean_rate = 1000000000000.0" in message
+    assert "emissions per cell" in message
+    assert runs == []
 
 
 def test_missing_file_is_json_error(capsys):

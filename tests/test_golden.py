@@ -42,6 +42,11 @@ PRESET_DIGESTS = {
 }
 
 WAVE_MULTIPLE_DIGEST = "fed80ef53cb6e31d1579797759914619b5c88b5aafbb2ef5495d3570ad275e22"
+# three repeats per configuration: guards how a configuration sums its cells
+REPEATS_DIGESTS = {
+    "aspect-like": "2ae160e0691ee506a808ee650297b54f987dee064bf619fcea8000ebb8e365bd",
+    "wave-like": "c9b69cfdc9513ff338ba1f6da85986067a25c2e0d796d69a902e114446552a35",
+}
 SWEEP_CSV_DIGEST = "ec3d29c4a49e63195e80ca285e085efe73adb8bf9c4263f6df9ed920d63ded60"
 CURVE_DIGESTS = {
     "aspect-like": "1d001a9b773d338a4eb98de6516f102a5a8fc9261837b900c6aaf2455e5c9a36",
@@ -54,13 +59,21 @@ def test_preset_report_digest(preset, seed):
     assert _report_digest(_short(PRESETS[preset](), seed=seed)) == PRESET_DIGESTS[preset, seed]
 
 
-def test_wave_multiple_detections_report_digest():
+def _wave_multiple(**changes):
     base = wave_like()
     multi = dict(allow_multiple_detections=True)
-    scenario = _short(base, seed=3,
-                      detector_a=dataclasses.replace(base.detector_a, **multi),
-                      detector_b=dataclasses.replace(base.detector_b, **multi))
-    assert _report_digest(scenario) == WAVE_MULTIPLE_DIGEST
+    return _short(base, detector_a=dataclasses.replace(base.detector_a, **multi),
+                  detector_b=dataclasses.replace(base.detector_b, **multi), **changes)
+
+
+def test_wave_multiple_detections_report_digest():
+    assert _report_digest(_wave_multiple(seed=3)) == WAVE_MULTIPLE_DIGEST
+
+
+def test_repeats_report_digests():
+    aspect = _short(aspect_like(), seed=4, repeats=3)
+    assert _report_digest(aspect) == REPEATS_DIGESTS["aspect-like"]
+    assert _report_digest(_wave_multiple(seed=6, repeats=3)) == REPEATS_DIGESTS["wave-like"]
 
 
 def test_sweep_csv_digest():

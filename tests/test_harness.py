@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from bellsim.bellstats import RunCounts
-from bellsim.coincidence import WindowConfig
+from bellsim.coincidence import (
+    WindowConfig,
+    build_spectrum,
+    cell_pairs,
+    classify_pairs_by_origin,
+    count_coincidences,
+    estimate_accidentals_delayed,
+)
 from bellsim.detection import ClickStream, DetectorConfig, simulate_side
 from bellsim.harness import (
     CONFIG_KEYS,
@@ -94,7 +101,7 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
         base, emission=dataclasses.replace(base.emission, duration=0.002),
         detector_a=dataclasses.replace(base.detector_a, **multi),
         detector_b=dataclasses.replace(base.detector_b, **multi))
-    empty = ClickStream(times=np.zeros(0), emission_index=np.zeros(0, dtype=np.int64), side="B")
+    empty = ClickStream(times=np.zeros(0), emission_index=np.zeros(0, dtype=np.int64))
     windows = (s.window, WindowConfig(channel_delay=-4.0, window_lo=-1.5, window_hi=2.5))
     for cell in range(3):
         clicks_a, clicks_b = _simulate_cell(s, cell, 0, *s.polariser_settings("x"))
@@ -105,11 +112,10 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
             assert got == _reference_window_inclusion(clicks_a, clicks_b, w)
             assert 0 < got[0] < got[1]
         assert _window_inclusion(clicks_a, empty, s.window) == (0, 0)
-        assert _window_inclusion(dataclasses.replace(empty, side="A"), clicks_b,
-                                 s.window) == (0, 0)
+        assert _window_inclusion(empty, clicks_b, s.window) == (0, 0)
     # A's emissions all come after B's: no emission has both
-    late = ClickStream(times=np.array([1.0, 2.0]), emission_index=np.array([7, 9]), side="A")
-    early = ClickStream(times=np.array([1.5]), emission_index=np.array([3]), side="B")
+    late = ClickStream(times=np.array([1.0, 2.0]), emission_index=np.array([7, 9]))
+    early = ClickStream(times=np.array([1.5]), emission_index=np.array([3]))
     assert _window_inclusion(late, early, s.window) == (0, 0)
     assert _window_inclusion(empty, empty, s.window) == (0, 0)
 
@@ -129,12 +135,29 @@ def test_repeats_sum_per_repeat_runs():
     # manual accumulation over repeat indices with the same seed recipe
     for ci, key in enumerate(CONFIG_KEYS):
         set_a, set_b = SMALL.polariser_settings(key)
-        singles_a = 0
+        singles_a = raw = delayed = true_pairs = inside = emissions = 0
+        spectrum = 0
         for r in range(2):
-            rng_em, rng_a, _ = derive_rngs(SMALL.seed, ci, r)
+            rng_em, rng_a, rng_b = derive_rngs(SMALL.seed, ci, r)
             stream = generate_emissions(SMALL.emission, rng_em, wave_mode=False)
-            singles_a += simulate_side(stream, "A", set_a, SMALL.detector_a, rng_a).size
-        assert twice.configurations[key].singles_a == singles_a
+            clicks_a = simulate_side(stream, "A", set_a, SMALL.detector_a, rng_a)
+            clicks_b = simulate_side(stream, "B", set_b, SMALL.detector_b, rng_b)
+            pairs = cell_pairs(clicks_a.times, clicks_b.times, SMALL.window)
+            singles_a += clicks_a.size
+            raw += count_coincidences(pairs)
+            delayed += estimate_accidentals_delayed(pairs)
+            true_pairs += classify_pairs_by_origin(pairs, clicks_a.emission_index,
+                                                   clicks_b.emission_index)[0]
+            spectrum = spectrum + build_spectrum(pairs).counts
+            got, tot = _reference_window_inclusion(clicks_a, clicks_b, SMALL.window)
+            inside += got
+            emissions += tot
+        cfg = twice.configurations[key]
+        assert (cfg.singles_a, cfg.raw_count, cfg.acc_delayed, cfg.true_pairs) == \
+            (singles_a, raw, delayed, true_pairs)
+        assert cfg.spectrum.counts.tolist() == spectrum.tolist()
+        assert cfg.spectrum.total_pairs_considered == int(spectrum.sum())
+        assert cfg.window_inclusion_fraction == inside / emissions
     assert twice.counts_raw.duration == pytest.approx(2 * SMALL.emission.duration)
 
 
@@ -251,9 +274,20 @@ def test_sweep_csv_shape():
     assert float(lines[1].split(",")[0]) == 2.0e4
 
 
+def test_sweep_spec_refuses_a_value_the_config_rules_refuse():
+    with pytest.raises(ValueError, match=r"values\[1\]: window_width = -5"):
+        SweepSpec(parameter="window_width", values=(20.0, -5.0), fixed=SMALL)
+
+
 def test_sweep_abort_names_offending_value():
-    spec = SweepSpec(parameter="window_width", values=(20.0, -5.0), fixed=SMALL)
-    with pytest.raises(RuntimeError, match=r"window_width = -5"):
+    # 1e5 emissions in 1 us pass the emissions cap, and then the pair cap
+    # refuses the point's first cell
+    base = PRESETS["aspect-like"]()
+    detector = dataclasses.replace(base.detector_a, dead_time=0.0)
+    fixed = dataclasses.replace(base, emission=dataclasses.replace(base.emission, duration=1e-6),
+                                detector_a=detector, detector_b=detector)
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 1.0e11), fixed=fixed)
+    with pytest.raises(RuntimeError, match=r"aborted at mean_rate = 100000000000.0: .* pairs"):
         run_sweep(spec)
 
 

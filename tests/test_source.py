@@ -13,7 +13,6 @@ def test_zero_duration_gives_empty_stream():
     cfg = EmissionConfig(mean_rate=1.0, duration=0.0)
     stream = generate_emissions(cfg, seed=0)
     assert stream.size == 0
-    assert len(stream) == 0
     assert stream.lam.size == stream.b_delay.size == 0
 
 
