@@ -235,11 +235,9 @@ def _expand_pairs(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
             f"of {MAX_PAIRS_PER_CELL}; lower the rate or the duration, or narrow the range"
         )
     ia = np.repeat(np.arange(j0.size), counts)
-    if total == 0:
-        return ia, np.zeros(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    ib = np.arange(total) - np.repeat(offsets, counts) + np.repeat(j0, counts)
-    return ia, ib.astype(np.int64)
+    # pair k of A click i is B index j0[i] + (k - first pair of i)
+    ib = np.arange(total) + np.repeat(j0 - (np.cumsum(counts) - counts), counts)
+    return ia, ib.astype(np.int64, copy=False)
 
 
 def spectrum_bin_edges(w: WindowConfig,
@@ -307,14 +305,14 @@ def _ranges_from_deltas(g0: np.ndarray, ia: np.ndarray, deltas: np.ndarray,
                         lo: float, hi: float):
     """Each A click's range [j0, j1) with lo <= b - a <= hi, read off its gated differences.
 
-    Also returns the mask of the gated pairs inside [lo, hi]. An A click's
-    differences rise with b, so the ones below lo and the ones inside
-    [lo, hi] are consecutive runs of its gated range; [lo, hi] must lie
-    inside that range.
+    Also returns the indices of the gated pairs inside [lo, hi]. An A
+    click's differences rise with b, so the ones below lo and the ones
+    inside [lo, hi] are consecutive runs of its gated range; [lo, hi] must
+    lie inside that range.
     """
     below = deltas < lo
-    inside = ~below & (deltas <= hi)
-    j0 = g0 + np.bincount(ia[below], minlength=g0.size)
+    inside = np.flatnonzero(~below & (deltas <= hi))
+    j0 = g0 + np.bincount(ia[np.flatnonzero(below)], minlength=g0.size)
     return j0, j0 + np.bincount(ia[inside], minlength=g0.size), inside
 
 

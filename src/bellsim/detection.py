@@ -126,8 +126,8 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     np.greater_equal(np.diff(times), dead_time, out=keep[1:])
     run_starts = np.flatnonzero(keep)
     lengths = np.diff(np.append(run_starts, n))
-    long_runs = lengths > 2
-    if not long_runs.any():
+    long_runs = np.flatnonzero(lengths > 2)
+    if not long_runs.size:
         return keep
     starts, lengths = run_starts[long_runs], lengths[long_runs]
     # members of the long runs, back to back; local index k is members[k]
@@ -159,25 +159,24 @@ def apply_dead_time(times, dead_time: float) -> np.ndarray:
 def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSetting,
                          config: DetectorConfig, rng: np.random.Generator):
     n = stream.size
-    lam = stream.lam
     if setting.present:
-        rel = lam - setting.angle
+        rel = stream.lam - setting.angle
         transmitted = rng.random(n) < np.cos(rel) ** 2
-        eta = np.full(n, config.eta0)
+        eta = config.eta0
         if config.efficiency_fn == "cosine_modulated":
             eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
-        eta *= config.enhancement_factor
+        eta = eta * config.enhancement_factor
+        ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
     else:
-        transmitted = np.ones(n, dtype=bool)
-        eta = np.full(n, config.eta0)
-    detected = transmitted & (rng.random(n) < eta)
-    base = stream.t0 + setting.effective_delay
-    if side == "B":
-        base = base + stream.b_delay
+        ids = np.flatnonzero(rng.random(n) < config.eta0)
+    # drawn for every emission, so that each draw's size follows the seed policy
     jitter = rng.normal(0.0, config.jitter_sigma, n)
-    times = base[detected] + jitter[detected]
-    ids = np.flatnonzero(detected).astype(np.int64)
-    return times, ids
+    # summed per click in the order ((t0 + insertion delay) + cascade delay) + jitter
+    times = stream.t0[ids] + setting.effective_delay
+    if side == "B":
+        times += stream.b_delay[ids]
+    times += jitter[ids]
+    return times, ids.astype(np.int64, copy=False)
 
 
 def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
@@ -197,10 +196,9 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
     base = stream.t0 + setting.effective_delay
 
     eps = rng.exponential(1.0, n)
-    hit = eps < total  # total == 0 can never satisfy this, eps > 0
-    survival = 1.0 - eps[hit] / total[hit]
+    idx = np.flatnonzero(eps < total)  # total == 0 can never pass, eps > 0
+    survival = 1.0 - eps[idx] / total[idx]
     offsets = -tau * np.log(survival)
-    idx = np.flatnonzero(hit).astype(np.int64)
     times = base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size)
     all_times = [times]
     all_ids = [idx]
@@ -211,7 +209,7 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
             survival = np.exp(-resume / tau)
             budget = total[idx] * survival
             eps = rng.exponential(1.0, idx.size)
-            again = eps < budget
+            again = np.flatnonzero(eps < budget)
             idx = idx[again]
             if idx.size == 0:
                 break
@@ -221,7 +219,7 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
             all_times.append(times)
             all_ids.append(idx)
 
-    return np.concatenate(all_times), np.concatenate(all_ids)
+    return np.concatenate(all_times), np.concatenate(all_ids).astype(np.int64, copy=False)
 
 
 def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
@@ -238,7 +236,6 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
         times, ids = _wave_candidates(stream, setting, config, rng)
     order = np.argsort(times, kind="stable")
     times = times[order]
-    ids = ids[order]
-    keep = _dead_time_keep_mask(times, config.dead_time)
-    return ClickStream(times=times[keep], emission_index=ids[keep])
+    kept = np.flatnonzero(_dead_time_keep_mask(times, config.dead_time))
+    return ClickStream(times=times[kept], emission_index=ids[order[kept]])
 

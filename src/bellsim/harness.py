@@ -228,6 +228,16 @@ def derive_rngs(seed: int, config_index: int, repeat_index: int):
             np.random.default_rng(det_b))
 
 
+def _first_clicks(ids: np.ndarray, size: int) -> np.ndarray:
+    """Index of each emission's first click in a time-sorted stream, ids.size if none.
+
+    Indexed by emission id over [0, size); a scatter of the minimum, no sort.
+    """
+    first = np.full(size, ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    return first
+
+
 def _window_inclusion(clicks_a: ClickStream, clicks_b: ClickStream,
                       w: WindowConfig) -> tuple[int, int]:
     """Count emissions whose first A and B clicks land inside the window.
@@ -235,16 +245,13 @@ def _window_inclusion(clicks_a: ClickStream, clicks_b: ClickStream,
     Returns (inside, total matched emissions); a diagnostic for how much of
     the true-coincidence peak the window captures.
     """
-    ua, ia = np.unique(clicks_a.emission_index, return_index=True)
-    ub, ib = np.unique(clicks_b.emission_index, return_index=True)
-    if ua.size == 0 or ub.size == 0:
+    ids_a, ids_b = clicks_a.emission_index, clicks_b.emission_index
+    if ids_a.size == 0 or ids_b.size == 0:
         return 0, 0
-    # B's first click per emission, in a table indexed by emission (-1: none)
-    first_b = np.full(max(ua[-1], ub[-1]) + 1, -1)
-    first_b[ub] = ib
-    jb = first_b[ua]
-    both = np.flatnonzero(jb >= 0)
-    delta = (clicks_b.times[jb[both]] + w.channel_delay) - clicks_a.times[ia[both]]
+    size = int(max(ids_a.max(), ids_b.max())) + 1
+    first_a, first_b = _first_clicks(ids_a, size), _first_clicks(ids_b, size)
+    both = np.flatnonzero((first_a < ids_a.size) & (first_b < ids_b.size))
+    delta = (clicks_b.times[first_b[both]] + w.channel_delay) - clicks_a.times[first_a[both]]
     inside = int(np.count_nonzero((delta >= w.window_lo) & (delta <= w.window_hi)))
     return inside, int(both.size)
 

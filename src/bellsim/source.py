@@ -110,7 +110,8 @@ def _renewal_arrivals(rng: np.random.Generator, duration_ns: float,
         t_end = float(block[-1])
         blocks.append(block)
     times = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    return times[times < duration_ns]
+    # running sums of nonnegative gaps: the times before duration_ns are a prefix
+    return times[:np.searchsorted(times, duration_ns)]
 
 
 def generate_emissions(config: EmissionConfig, seed=None, wave_mode: bool = False) -> EmissionStream:

@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ def test_pair_expansion_is_capped_before_allocating():
     clicks = np.zeros(8000)
     with pytest.raises(ValueError, match=r"64000000 click pairs .* \[-113.0, 127.0\]"):
         cell_pairs(clicks, clicks, W)
+
+
+def test_pair_expansion_takes_no_step_per_pair_of_one_click():
+    # one A click with a million B clicks in its gated range [-113, 127]:
+    # an expansion that loops once per pair of the busiest click takes seconds
+    b = np.linspace(-100.0, 100.0, 1_000_000)
+    start = time.perf_counter()
+    pairs = cell_pairs([0.0], b, W)
+    elapsed = time.perf_counter() - start
+    assert pairs.deltas.size == 1_000_000
+    assert np.array_equal(pairs.deltas, b - 0.0)
+    assert elapsed < 2.0
 
 
 @settings(max_examples=100, deadline=None)

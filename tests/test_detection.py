@@ -103,6 +103,19 @@ def test_detect_particle_exact_times_without_noise():
     assert simulate_side(stream, "A", inserted, EXACT, rng).times.tolist() == [103.0]
 
 
+def test_integer_efficiency_clicks_like_its_float():
+    # JSON gives 1, not 1.0; times the default enhancement factor 1.0 it is a float
+    stream = _uniform_stream(2_000, seed=12)
+    integer, real = ([simulate_side(stream, "A", setting,
+                                    DetectorConfig(eta0=eta0),
+                                    np.random.default_rng(3))
+                      for setting in (ABSENT, PolariserSetting(0.4))]
+                     for eta0 in (1, 1.0))
+    for got, want in zip(integer, real):
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.emission_index, want.emission_index)
+
+
 def test_cosine_modulated_acceptance_is_three_eighths():
     # transmission cos^2 times efficiency (1 - sin^2) = cos^4 on average
     stream = _uniform_stream(200_000, seed=21)

@@ -47,6 +47,10 @@ REPEATS_DIGESTS = {
     "aspect-like": "2ae160e0691ee506a808ee650297b54f987dee064bf619fcea8000ebb8e365bd",
     "wave-like": "c9b69cfdc9513ff338ba1f6da85986067a25c2e0d796d69a902e114446552a35",
 }
+# the particle branches no preset takes: a modulated and enhanced
+# efficiency, insertion and channel delays, a min-separation source, and a
+# rate at which dead time drops about 4 % (x) to 8 % (Z) of the clicks
+PARTICLE_BRANCHES_DIGEST = "a07b0756d3dde8906f21b12c76b1978d71a5aecfd69b967e4062623edeccc15e"
 SWEEP_CSV_DIGEST = "ec3d29c4a49e63195e80ca285e085efe73adb8bf9c4263f6df9ed920d63ded60"
 CURVE_DIGESTS = {
     "aspect-like": "1d001a9b773d338a4eb98de6516f102a5a8fc9261837b900c6aaf2455e5c9a36",
@@ -74,6 +78,21 @@ def test_repeats_report_digests():
     aspect = _short(aspect_like(), seed=4, repeats=3)
     assert _report_digest(aspect) == REPEATS_DIGESTS["aspect-like"]
     assert _report_digest(_wave_multiple(seed=6, repeats=3)) == REPEATS_DIGESTS["wave-like"]
+
+
+def test_particle_branches_report_digest():
+    base = aspect_like()
+    det = dict(eta0=0.8, efficiency_fn="cosine_modulated", modulation_depth=0.3,
+               enhancement_factor=1.2)
+    scenario = dataclasses.replace(
+        base, seed=7,
+        emission=dataclasses.replace(base.emission, mean_rate=1.0e7, duration=0.001,
+                                     process="min_separation", min_gap=5.0),
+        detector_a=dataclasses.replace(base.detector_a, **det),
+        detector_b=dataclasses.replace(base.detector_b, **det),
+        window=dataclasses.replace(base.window, channel_delay=2.5),
+        insertion_delay_a=1.25, insertion_delay_b=3.5)
+    assert _report_digest(scenario) == PARTICLE_BRANCHES_DIGEST
 
 
 def test_sweep_csv_digest():

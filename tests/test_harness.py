@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.bellstats import RunCounts
 from bellsim.coincidence import (
@@ -118,6 +120,30 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
     early = ClickStream(times=np.array([1.5]), emission_index=np.array([3]))
     assert _window_inclusion(late, early, s.window) == (0, 0)
     assert _window_inclusion(empty, empty, s.window) == (0, 0)
+
+
+def _click_stream(clicks):
+    # sorted by time only: equal times keep their drawn order
+    clicks = sorted(clicks, key=lambda c: c[0])
+    return ClickStream(times=np.array([t for t, _ in clicks], dtype=float),
+                       emission_index=np.array([e for _, e in clicks], dtype=np.int64))
+
+
+# emission ids repeat, arrive out of time order and lie 100,003 apart
+click_streams = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=200.0),
+              st.integers(min_value=0, max_value=12).map(lambda k: k * 100_003)),
+    max_size=30).map(_click_stream)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clicks_a=click_streams, clicks_b=click_streams,
+       delay=st.integers(min_value=-20, max_value=20),
+       lo=st.integers(min_value=-30, max_value=30), span=st.integers(min_value=1, max_value=30))
+def test_window_inclusion_matches_reference(clicks_a, clicks_b, delay, lo, span):
+    w = WindowConfig(channel_delay=float(delay), window_lo=float(lo), window_hi=float(lo + span))
+    assert _window_inclusion(clicks_a, clicks_b, w) == \
+        _reference_window_inclusion(clicks_a, clicks_b, w)
 
 
 def test_zero_duration_scenario_reports_no_data():
