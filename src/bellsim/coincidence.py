@@ -14,9 +14,10 @@ guess, which is then corrected with the subtraction.
 
 A simulated cell runs this gate once, in cell_pairs, and every consumer
 reads the one CellPairs it returns: the count, the delayed estimate, the
-spectrum and the ground truth. cell_pairs gates over the union of the
-spectrum range and the window, not over the spectrum edges alone: an
-edge computed as lo + k * bin_width can fall one ulp short of window_hi.
+spectrum, the ground truth and the harness's window-inclusion
+diagnostic. cell_pairs gates over the union of the spectrum range and
+the window, not over the spectrum edges alone: an edge computed as
+lo + k * bin_width can fall one ulp short of window_hi.
 It keeps every pair's difference b - a. The spectrum histograms the
 differences inside its edges. Each A click's window range is read off
 its own differences: the range starts after those below window_lo and
@@ -49,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bellsim.source import NS_PER_SECOND
 from bellsim.validation import check_number, require_numbers
 
-NS_PER_SECOND = 1.0e9
 MAX_SPECTRUM_BINS = 1_000_000
 # a gated pair takes 30 to 50 bytes of peak memory, so a cell stays under 2.5 GB
 MAX_PAIRS_PER_CELL = 50_000_000

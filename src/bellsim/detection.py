@@ -195,31 +195,24 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
     total = config.wave_gain * i0 * tau
     base = stream.t0 + setting.effective_delay
 
-    eps = rng.exponential(1.0, n)
-    idx = np.flatnonzero(eps < total)  # total == 0 can never pass, eps > 0
-    survival = 1.0 - eps[idx] / total[idx]
-    offsets = -tau * np.log(survival)
-    times = base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size)
-    all_times = [times]
-    all_ids = [idx]
-
-    if config.allow_multiple_detections:
-        while idx.size:
-            resume = offsets + config.dead_time
-            survival = np.exp(-resume / tau)
-            budget = total[idx] * survival
-            eps = rng.exponential(1.0, idx.size)
-            again = np.flatnonzero(eps < budget)
-            idx = idx[again]
-            if idx.size == 0:
-                break
-            survival = survival[again] - eps[again] / total[idx]
-            offsets = -tau * np.log(survival)
-            times = base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size)
-            all_times.append(times)
-            all_ids.append(idx)
-
-    return np.concatenate(all_times), np.concatenate(all_ids).astype(np.int64, copy=False)
+    # the first click is a re-hit at t = 0 with all of the hazard left
+    idx, survival, budget = np.arange(n), np.ones(n), total
+    all_times, all_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    while True:
+        eps = rng.exponential(1.0, idx.size)
+        hit = np.flatnonzero(eps < budget)  # a zero budget can never pass, eps > 0
+        idx = idx[hit]
+        if idx.size == 0:
+            break
+        survival = survival[hit] - eps[hit] / total[idx]
+        offsets = -tau * np.log(survival)
+        all_times.append(base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size))
+        all_ids.append(idx)
+        if not config.allow_multiple_detections:
+            break
+        survival = np.exp(-(offsets + config.dead_time) / tau)
+        budget = total[idx] * survival
+    return np.concatenate(all_times), np.concatenate(all_ids)
 
 
 def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,

@@ -10,9 +10,16 @@ single-channel experiment for equal durations each:
 
 Each (configuration, repeat) cell produces raw coincidence counts, both
 accidental estimates (delayed window and singles product), a time-difference
-spectrum, and a simulation-only tally of in-window pairings that came from
-one emission; a configuration sums its repeats' cells. Statistics are then
+spectrum, a simulation-only tally of in-window pairings that came from
+one emission, and the share of emissions whose first clicks pair inside
+the window; all but the product estimate read the cell's one pair pass,
+cell_pairs. A configuration sums its repeats' cells. Statistics are then
 computed raw, corrected with either estimate, and on the ground-truth pairs.
+
+A scenario is refused when it is parsed if a cell would expect more than
+MAX_EMISSIONS_PER_CELL emissions, or if a multi-click wave detector would
+expect more than MAX_WAVE_HAZARD clicks from one emission or more than
+MAX_EMISSIONS_PER_CELL clicks in a cell.
 
 Seed policy: every (configuration, repeat) cell derives its RNG from
 SeedSequence([seed, configuration_index, repeat_index]) and spawns three
@@ -27,6 +34,7 @@ import csv
 import dataclasses
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +47,7 @@ from bellsim.bellstats import (
     subtract_accidentals,
 )
 from bellsim.coincidence import (
+    CellPairs,
     CoincidenceSpectrum,
     WindowConfig,
     build_spectrum,
@@ -56,11 +65,15 @@ from bellsim.detection import (
     PolariserSetting,
     simulate_side,
 )
-from bellsim.source import EmissionConfig, generate_emissions
+from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
 from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
                                 parse_json, require_numbers)
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
+# with allow_multiple_detections an emission clicks about wave_gain * wave_decay_tau
+# times without dead time, and the re-hit loop takes one numpy step, about 23 us
+# on a 2-core box, per click of the busiest emission: 1,000 keeps a side near 25 ms
+MAX_WAVE_HAZARD = 1_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,19 @@ class ScenarioConfig:
             check_pair("spectrum_range", self.spectrum_range)
         # the edges of every cell's spectrum, checked before any cell runs
         spectrum_bin_edges(self.window, self.spectrum_range)
+        for side, d in (("detector_a", self.detector_a), ("detector_b", self.detector_b)):
+            if d.model != "wave" or not d.allow_multiple_detections:
+                continue
+            hazard = d.wave_gain * d.wave_decay_tau
+            if hazard > MAX_WAVE_HAZARD:
+                raise ValueError(
+                    f"{side} wave_gain * wave_decay_tau is {hazard} hazard units, over the "
+                    f"cap of {MAX_WAVE_HAZARD} for multiple detections")
+            clicks = self.emission.mean_rate * self.emission.duration * hazard
+            if clicks > MAX_EMISSIONS_PER_CELL:
+                raise ValueError(
+                    f"{side} expects up to {clicks:g} clicks per cell, {hazard} hazard units "
+                    f"on each emission, over the cap of {MAX_EMISSIONS_PER_CELL}")
 
     @property
     def wave_mode(self) -> bool:
@@ -184,7 +210,10 @@ class ScenarioReport:
     report_corrected_delayed: BellReport
     report_corrected_product: BellReport
     report_truth: BellReport
-    no_data: bool
+
+    @property
+    def no_data(self) -> bool:
+        return self.report_raw.no_data
 
     def to_dict(self) -> dict:
         return {
@@ -238,21 +267,20 @@ def _first_clicks(ids: np.ndarray, size: int) -> np.ndarray:
     return first
 
 
-def _window_inclusion(clicks_a: ClickStream, clicks_b: ClickStream,
-                      w: WindowConfig) -> tuple[int, int]:
-    """Count emissions whose first A and B clicks land inside the window.
+def _window_inclusion(pairs: CellPairs, ids_a: np.ndarray, ids_b: np.ndarray) -> tuple[int, int]:
+    """Count emissions whose first A and B clicks pair inside the cell's window.
 
     Returns (inside, total matched emissions); a diagnostic for how much of
-    the true-coincidence peak the window captures.
+    the true-coincidence peak the window captures. A pair is inside when its
+    B index lies in the window range [j0, j1) of its A click.
     """
-    ids_a, ids_b = clicks_a.emission_index, clicks_b.emission_index
     if ids_a.size == 0 or ids_b.size == 0:
         return 0, 0
     size = int(max(ids_a.max(), ids_b.max())) + 1
     first_a, first_b = _first_clicks(ids_a, size), _first_clicks(ids_b, size)
     both = np.flatnonzero((first_a < ids_a.size) & (first_b < ids_b.size))
-    delta = (clicks_b.times[first_b[both]] + w.channel_delay) - clicks_a.times[first_a[both]]
-    inside = int(np.count_nonzero((delta >= w.window_lo) & (delta <= w.window_hi)))
+    i, j = first_a[both], first_b[both]
+    inside = int(np.count_nonzero((pairs.j0[i] <= j) & (j < pairs.j1[i])))
     return inside, int(both.size)
 
 
@@ -272,9 +300,8 @@ def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: Polar
 def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> ConfigurationResult:
     set_a, set_b = s.polariser_settings(key)
     clicks_a, clicks_b = _simulate_cell(s, config_index, repeat, set_a, set_b)
-    # before the pair pass, so that its arrays and the pass's are never alive together
-    inside, total = _window_inclusion(clicks_a, clicks_b, s.window)
     pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+    inside, total = _window_inclusion(pairs, clicks_a.emission_index, clicks_b.emission_index)
     true_pairs, accidental_pairs = classify_pairs_by_origin(pairs, clicks_a.emission_index,
                                                             clicks_b.emission_index)
     return ConfigurationResult(
@@ -337,7 +364,6 @@ def run_scenario(s: ScenarioConfig) -> ScenarioReport:
         report_corrected_delayed=report_corr_delayed,
         report_corrected_product=report_corr_product,
         report_truth=report_truth,
-        no_data=report_raw.no_data,
     )
 
 
@@ -507,6 +533,9 @@ def parse_counts_file(path) -> RunCounts:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None:
             raise ValueError(f"{name}: empty file")
+        twice = [f for f, k in Counter(reader.fieldnames).items() if k > 1]
+        if twice:
+            raise ValueError(f"{name}: line 1: field {twice[0]!r} given twice")
         rows = list(reader)
         if len(rows) != 1:
             raise ValueError(f"{name}: expected exactly one data row, found {len(rows)}")

@@ -85,11 +85,24 @@ def check_keys(kind: str, data: dict, known, required=()) -> None:
             raise ValueError(f"{problem} {kind} field(s): {', '.join(sorted(map(str, names)))}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def parse_json(name: str, text: str):
-    """json.loads on the text of the file name, refusing bad JSON with a ValueError naming it."""
+    """json.loads on the text of the file name, refusing bad JSON with a ValueError naming it.
+
+    A key given twice in one object is refused, not read last-wins.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer of more digits than Python converts
+    except ValueError as exc:  # a key given twice, or an integer too long to convert
         raise ValueError(f"{name}: {exc}") from None

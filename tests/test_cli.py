@@ -290,3 +290,51 @@ def test_run_budget_is_json_error(tmp_path, capsys, document, words):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert words in json.loads(captured.err)["error"]["message"]
+
+
+MULTI = {"dead_time": 0.0, "allow_multiple_detections": True}
+
+
+@pytest.mark.parametrize("command, document, words", [
+    # one emission per cell: at the cap it would click about 1e5 times
+    ("simulate", {"preset": "wave-like", "emission": {"mean_rate": 1.0e4, "duration": 1.0e-4},
+                  "detector_b": {**MULTI, "wave_gain": 2.0e4}}, "hazard units, over the cap"),
+    ("simulate", {"preset": "wave-like", "emission": {"mean_rate": 1.0e6, "duration": 1.0},
+                  "detector_b": {**MULTI, "wave_gain": 100.0}}, "clicks per cell"),
+    ("sweep", {"parameter": "wave_gain", "values": [1.0, 1.0e4],
+               "scenario": {"preset": "wave-like", "emission": {"duration": 1.0e-4},
+                            "detector_a": MULTI, "detector_b": MULTI}},
+     "values[1]: wave_gain = 10000.0"),
+], ids=["hazard", "clicks", "sweep"])
+def test_wave_click_budget_is_refused_before_any_cell_runs(tmp_path, capsys, monkeypatch,
+                                                           command, document, words):
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *args: cells.append(args))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert words in json.loads(captured.err)["error"]["message"]
+    assert cells == []
+
+
+@pytest.mark.parametrize("command, name, text, key", [
+    ("stats", "counts.csv", "x,x,y,z,Z\n1,200,3,4,5\n", "'x'"),
+    ("stats", "counts.json", '{"x": 1, "x": 200, "y": 3, "z": 4, "Z": 5}', "'x'"),
+    ("simulate", "scenario.json", '{"seed": 1, "emission": {"duration": 0.001}, "seed": 2}',
+     "'seed'"),
+    ("sweep", "sweep.json", '{"parameter": "mean_rate", "values": [1e4],'
+     ' "scenario": {"emission": {"duration": 0.001, "duration": 0.002}}}', "'duration'"),
+], ids=["csv", "json", "scenario", "nested"])
+def test_key_given_twice_is_json_error(tmp_path, capsys, command, name, text, key):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert message.startswith(f"{path}: ")
+    assert f"{key} given twice" in message

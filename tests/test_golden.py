@@ -51,6 +51,11 @@ REPEATS_DIGESTS = {
 # efficiency, insertion and channel delays, a min-separation source, and a
 # rate at which dead time drops about 4 % (x) to 8 % (Z) of the clicks
 PARTICLE_BRANCHES_DIGEST = "a07b0756d3dde8906f21b12c76b1978d71a5aecfd69b967e4062623edeccc15e"
+# no emissions at all: the wave detector's empty path, with one and with many clicks each
+ZERO_EMISSION_WAVE_DIGESTS = {
+    False: "11640b3735033ca82e42b544c99795aa30c4c85e1187faa8bdfafa85a07372ce",
+    True: "ab06c2904cfb623701c65388f667adf1cb4e59a5e8641b12f771a87975e8439f",
+}
 SWEEP_CSV_DIGEST = "ec3d29c4a49e63195e80ca285e085efe73adb8bf9c4263f6df9ed920d63ded60"
 CURVE_DIGESTS = {
     "aspect-like": "1d001a9b773d338a4eb98de6516f102a5a8fc9261837b900c6aaf2455e5c9a36",
@@ -72,6 +77,17 @@ def _wave_multiple(**changes):
 
 def test_wave_multiple_detections_report_digest():
     assert _report_digest(_wave_multiple(seed=3)) == WAVE_MULTIPLE_DIGEST
+
+
+@pytest.mark.parametrize("multiple", sorted(ZERO_EMISSION_WAVE_DIGESTS))
+def test_zero_emission_wave_report_digest(multiple):
+    base = wave_like()
+    flag = dict(allow_multiple_detections=multiple)
+    scenario = dataclasses.replace(
+        base, seed=8, emission=dataclasses.replace(base.emission, duration=0.0),
+        detector_a=dataclasses.replace(base.detector_a, **flag),
+        detector_b=dataclasses.replace(base.detector_b, **flag))
+    assert _report_digest(scenario) == ZERO_EMISSION_WAVE_DIGESTS[multiple]
 
 
 def test_repeats_report_digests():

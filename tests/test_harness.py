@@ -94,6 +94,12 @@ def _reference_window_inclusion(clicks_a, clicks_b, w):
     return inside, len(common)
 
 
+def _inclusion(clicks_a, clicks_b, w):
+    """_window_inclusion on the cell pass of two click streams."""
+    pairs = cell_pairs(clicks_a.times, clicks_b.times, w)
+    return _window_inclusion(pairs, clicks_a.emission_index, clicks_b.emission_index)
+
+
 def test_window_inclusion_uses_each_emissions_first_clicks():
     # multi-click wave detectors repeat emission ids on both sides
     base = wave_like()
@@ -110,16 +116,16 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
         assert np.unique(clicks_a.emission_index).size < clicks_a.size
         assert np.unique(clicks_b.emission_index).size < clicks_b.size
         for w in windows:
-            got = _window_inclusion(clicks_a, clicks_b, w)
+            got = _inclusion(clicks_a, clicks_b, w)
             assert got == _reference_window_inclusion(clicks_a, clicks_b, w)
             assert 0 < got[0] < got[1]
-        assert _window_inclusion(clicks_a, empty, s.window) == (0, 0)
-        assert _window_inclusion(empty, clicks_b, s.window) == (0, 0)
+        assert _inclusion(clicks_a, empty, s.window) == (0, 0)
+        assert _inclusion(empty, clicks_b, s.window) == (0, 0)
     # A's emissions all come after B's: no emission has both
     late = ClickStream(times=np.array([1.0, 2.0]), emission_index=np.array([7, 9]))
     early = ClickStream(times=np.array([1.5]), emission_index=np.array([3]))
-    assert _window_inclusion(late, early, s.window) == (0, 0)
-    assert _window_inclusion(empty, empty, s.window) == (0, 0)
+    assert _inclusion(late, early, s.window) == (0, 0)
+    assert _inclusion(empty, empty, s.window) == (0, 0)
 
 
 def _click_stream(clicks):
@@ -142,8 +148,7 @@ click_streams = st.lists(
        lo=st.integers(min_value=-30, max_value=30), span=st.integers(min_value=1, max_value=30))
 def test_window_inclusion_matches_reference(clicks_a, clicks_b, delay, lo, span):
     w = WindowConfig(channel_delay=float(delay), window_lo=float(lo), window_hi=float(lo + span))
-    assert _window_inclusion(clicks_a, clicks_b, w) == \
-        _reference_window_inclusion(clicks_a, clicks_b, w)
+    assert _inclusion(clicks_a, clicks_b, w) == _reference_window_inclusion(clicks_a, clicks_b, w)
 
 
 def test_zero_duration_scenario_reports_no_data():
