@@ -44,6 +44,7 @@ from bellsim.harness import (
     coincidence_curve,
     parse_counts_file,
     reanalyze_counts,
+    run_configuration,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -88,6 +89,7 @@ __all__ = [
     "load_scenario_file",
     "parse_counts_file",
     "reanalyze_counts",
+    "run_configuration",
     "run_scenario",
     "run_sweep",
     "scenario_from_dict",

@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 
-from bellsim.harness import CONFIG_KEYS, reanalyze_counts, run_scenario, run_sweep
+from bellsim.harness import (CONFIG_KEYS, reanalyze_counts, run_configuration, run_scenario,
+                             run_sweep)
 from bellsim.presets import bundled_counts_path, load_scenario_file, load_sweep_file
 
 
@@ -88,8 +89,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report = run_scenario(load_scenario_file(args.scenario))
-    spectrum = report.configurations[args.config].spectrum
+    spectrum = run_configuration(load_scenario_file(args.scenario), args.config).spectrum
     lines = ["bin_start_ns,count"]
     lines += [f"{float(start)!r},{int(c)}"
               for start, c in zip(spectrum.bin_edges[:-1], spectrum.counts)]

@@ -26,6 +26,11 @@ from bellsim.validation import check_bool, check_choice, check_number, require_n
 MODELS = ("particle", "wave")
 EFFICIENCY_FNS = ("constant", "cosine_modulated")
 SIDES = ("A", "B")
+# DetectorConfig refuses a multi-click wave detector over this many hazard units,
+# wave_gain * wave_decay_tau, about the clicks of one emission without dead time;
+# the re-hit loop takes one numpy step, about 23 us on a 2-core box, per click of
+# the busiest emission: 1,000 keeps a side near 25 ms
+MAX_WAVE_HAZARD = 1_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,12 @@ class DetectorConfig:
                 "eta0 * enhancement_factor must stay <= 1: "
                 f"{self.eta0} * {self.enhancement_factor} exceeds it"
             )
+        if wave and self.allow_multiple_detections:
+            hazard = self.wave_gain * self.wave_decay_tau
+            if hazard > MAX_WAVE_HAZARD:
+                raise ValueError(
+                    f"wave_gain * wave_decay_tau is {hazard} hazard units, over the cap of "
+                    f"{MAX_WAVE_HAZARD} for multiple detections")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ one emission, and the share of emissions whose first clicks pair inside
 the window; all but the product estimate read the cell's one pair pass,
 cell_pairs. A configuration sums its repeats' cells. Statistics are then
 computed raw, corrected with either estimate, and on the ground-truth pairs.
+A coincidence curve point is configuration x at that relative angle, counted
+by the same cells.
 
 A scenario is refused when it is parsed if a cell would expect more than
 MAX_EMISSIONS_PER_CELL emissions, or if a multi-click wave detector would
-expect more than MAX_WAVE_HAZARD clicks from one emission or more than
-MAX_EMISSIONS_PER_CELL clicks in a cell.
+expect more than MAX_EMISSIONS_PER_CELL clicks in a cell; the detector
+config itself refuses more than MAX_WAVE_HAZARD clicks from one emission.
 
 Seed policy: every (configuration, repeat) cell derives its RNG from
 SeedSequence([seed, configuration_index, repeat_index]) and spawns three
@@ -70,10 +72,6 @@ from bellsim.validation import (check_choice, check_keys, check_number, check_pa
                                 parse_json, require_numbers)
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
-# with allow_multiple_detections an emission clicks about wave_gain * wave_decay_tau
-# times without dead time, and the re-hit loop takes one numpy step, about 23 us
-# on a 2-core box, per click of the busiest emission: 1,000 keeps a side near 25 ms
-MAX_WAVE_HAZARD = 1_000
 
 
 @dataclass(frozen=True)
@@ -110,25 +108,18 @@ class ScenarioConfig:
             )
         if self.spectrum_range is not None:
             check_pair("spectrum_range", self.spectrum_range)
+            object.__setattr__(self, "spectrum_range", tuple(map(float, self.spectrum_range)))
         # the edges of every cell's spectrum, checked before any cell runs
         spectrum_bin_edges(self.window, self.spectrum_range)
         for side, d in (("detector_a", self.detector_a), ("detector_b", self.detector_b)):
             if d.model != "wave" or not d.allow_multiple_detections:
                 continue
-            hazard = d.wave_gain * d.wave_decay_tau
-            if hazard > MAX_WAVE_HAZARD:
-                raise ValueError(
-                    f"{side} wave_gain * wave_decay_tau is {hazard} hazard units, over the "
-                    f"cap of {MAX_WAVE_HAZARD} for multiple detections")
+            hazard = d.wave_gain * d.wave_decay_tau  # DetectorConfig caps it
             clicks = self.emission.mean_rate * self.emission.duration * hazard
             if clicks > MAX_EMISSIONS_PER_CELL:
                 raise ValueError(
                     f"{side} expects up to {clicks:g} clicks per cell, {hazard} hazard units "
                     f"on each emission, over the cap of {MAX_EMISSIONS_PER_CELL}")
-
-    @property
-    def wave_mode(self) -> bool:
-        return self.detector_a.model == "wave"
 
     def polariser_settings(self, key: str) -> tuple[PolariserSetting, PolariserSetting]:
         """The (A, B) polariser slots for one configuration key."""
@@ -291,8 +282,9 @@ def _angle_of(setting: PolariserSetting) -> float | None:
 def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: PolariserSetting,
                    set_b: PolariserSetting) -> tuple[ClickStream, ClickStream]:
     """One seed-policy cell: its emission stream, then side A's and side B's clicks."""
+    # its own function so that the stream is freed before _run_cell's pair pass
     rng_em, rng_a, rng_b = derive_rngs(s.seed, cell_index, repeat)
-    stream = generate_emissions(s.emission, rng_em, wave_mode=s.wave_mode)
+    stream = generate_emissions(s.emission, rng_em)
     return (simulate_side(stream, "A", set_a, s.detector_a, rng_a),
             simulate_side(stream, "B", set_b, s.detector_b, rng_b))
 
@@ -327,6 +319,11 @@ def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> Config
     """The sum of the configuration's cells, one per repeat, starting from cell 0."""
     cells = (_run_cell(s, config_index, r, key) for r in range(s.repeats))
     return sum(cells, next(cells))
+
+
+def run_configuration(s: ScenarioConfig, key: str) -> ConfigurationResult:
+    """One configuration of run_scenario, alone: the same cells, so the same result."""
+    return _run_configuration(s, CONFIG_KEYS.index(key), key)
 
 
 def run_scenario(s: ScenarioConfig) -> ScenarioReport:
@@ -370,21 +367,14 @@ def run_scenario(s: ScenarioConfig) -> ScenarioReport:
 def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> list[tuple[float, int]]:
     """Raw coincidence counts vs relative analyzer angle, both polarisers in.
 
-    Each angle gets its own cell seeds, continuing the configuration-index
-    namespace after the four standard configurations (index 4 + i), so the
-    curve is reproducible and independent of the standard runs.
+    Point i is configuration x with relative_angle_x at that angle. Its cell
+    seeds continue the configuration-index namespace after the four standard
+    configurations (index 4 + i), so the curve is reproducible and
+    independent of the standard runs.
     """
-    set_a = PolariserSetting(angle=s.analyzer_a, insertion_delay=s.insertion_delay_a)
-    curve: list[tuple[float, int]] = []
-    for i, rel in enumerate(relative_angles):
-        set_b = PolariserSetting(angle=s.analyzer_a + rel, insertion_delay=s.insertion_delay_b)
-        total = 0
-        for r in range(s.repeats):
-            clicks_a, clicks_b = _simulate_cell(s, 4 + i, r, set_a, set_b)
-            total += count_coincidences(cell_pairs(clicks_a.times, clicks_b.times, s.window,
-                                                   s.spectrum_range))
-        curve.append((float(rel), total))
-    return curve
+    return [(float(rel), _run_configuration(dataclasses.replace(s, relative_angle_x=rel),
+                                            4 + i, "x").raw_count)
+            for i, rel in enumerate(relative_angles)]
 
 
 SWEEP_PARAMETERS = ("window_width", "mean_rate", "accidental_offset", "min_gap", "wave_gain")
@@ -395,7 +385,7 @@ class SweepSpec:
     """One-parameter sweep around a fixed scenario."""
 
     parameter: str
-    values: tuple[float, ...]
+    values: tuple[float, ...]  # stored as floats once checked
     fixed: ScenarioConfig
     # each point's scenario, built here so that a refused value fails before any point runs
     scenarios: tuple[ScenarioConfig, ...] = dataclasses.field(init=False, repr=False, compare=False)
@@ -404,14 +394,17 @@ class SweepSpec:
         check_choice("sweep parameter", self.parameter, SWEEP_PARAMETERS)
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
-        scenarios = []
+        values, scenarios = [], []
         for i, v in enumerate(self.values):
             check_number(f"sweep values[{i}]", v)
+            v = float(v)
+            values.append(v)
             base = dataclasses.replace(self.fixed, seed=self.fixed.seed + i)
             try:
                 scenarios.append(apply_sweep_value(base, self.parameter, v))
             except ValueError as exc:
                 raise ValueError(f"sweep values[{i}]: {self.parameter} = {v}: {exc}") from None
+        object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "scenarios", tuple(scenarios))
 
 
@@ -508,10 +501,6 @@ def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> Scenar
     fields = dict(data)
     for name in ("emission", "detector_a", "detector_b", "window"):
         fields[name] = _merge_section(getattr(base, name), data.get(name, {}), name)
-    rng = data.get("spectrum_range")
-    if rng is not None:
-        check_pair("spectrum_range", rng)
-        fields["spectrum_range"] = (float(rng[0]), float(rng[1]))
     return dataclasses.replace(base, **fields)
 
 

@@ -31,7 +31,7 @@ from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
 from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
 from bellsim.source import EmissionConfig
-from bellsim.validation import check_choice, check_keys, check_number, parse_json
+from bellsim.validation import check_choice, check_keys, parse_json
 
 
 def aspect_like() -> ScenarioConfig:
@@ -109,10 +109,7 @@ def load_sweep_file(path) -> SweepSpec:
         values = data["values"]
         if not isinstance(values, list):
             raise ValueError("'values' must be a list of numbers")
-        # floats only once strings, booleans and huge ints are refused
-        for i, v in enumerate(values):
-            check_number(f"sweep values[{i}]", v)
-        return SweepSpec(parameter=data["parameter"], values=tuple(float(v) for v in values),
+        return SweepSpec(parameter=data["parameter"], values=tuple(values),
                          fixed=scenario_from_file_dict(data.get("scenario", {})))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -114,13 +114,14 @@ def _renewal_arrivals(rng: np.random.Generator, duration_ns: float,
     return times[:np.searchsorted(times, duration_ns)]
 
 
-def generate_emissions(config: EmissionConfig, seed=None, wave_mode: bool = False) -> EmissionStream:
+def generate_emissions(config: EmissionConfig, seed=None) -> EmissionStream:
     """Draw a full emission stream for one run.
 
     seed is anything numpy's default_rng accepts (int, SeedSequence,
-    Generator). With wave_mode the two wave envelopes leave together, so
-    b_delay is identically zero; the particle-model cascade delay is drawn
-    from Exp(cascade_lifetime_tau) otherwise.
+    Generator). The cascade delay b_delay is drawn from
+    Exp(cascade_lifetime_tau), exactly zero when that is 0, and last, so it
+    moves no other draw. Only the particle model reads it: the wave model's
+    two envelopes leave together.
     """
     rng = np.random.default_rng(seed)
     duration_ns = config.duration * NS_PER_SECOND
@@ -135,8 +136,5 @@ def generate_emissions(config: EmissionConfig, seed=None, wave_mode: bool = Fals
         lam = rng.uniform(0.0, np.pi, n)
     else:
         lam = np.full(n, config.fixed_angle % math.pi)
-    if wave_mode or config.cascade_lifetime_tau == 0.0:
-        b_delay = np.zeros(n, dtype=float)
-    else:
-        b_delay = rng.exponential(config.cascade_lifetime_tau, n)
+    b_delay = rng.exponential(config.cascade_lifetime_tau, n)
     return EmissionStream(t0=t0, lam=lam, b_delay=b_delay)

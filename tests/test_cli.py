@@ -91,6 +91,25 @@ def test_spectrum_csv(scenario_file, capsys):
     assert all(int(row.split(",")[1]) >= 0 for row in lines[1:])
 
 
+@pytest.mark.parametrize("key", harness.CONFIG_KEYS)
+def test_spectrum_runs_only_its_configuration(tmp_path, capsys, monkeypatch, key):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, "repeats": 2,
+                                "emission": {"mean_rate": 3.0e4, "duration": 0.01}}))
+    assert main(["simulate", str(path)]) == 0
+    spectrum = json.loads(capsys.readouterr().out)["configurations"][key]["spectrum"]
+    cells = []
+    run_cell = harness._run_cell
+    monkeypatch.setattr(harness, "_run_cell",
+                        lambda *args: cells.append(args) or run_cell(*args))
+    assert main(["spectrum", str(path), "--config", key]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [float(start) for start, _ in rows] == spectrum["bin_edges_ns"][:-1]
+    assert [int(count) for _, count in rows] == spectrum["counts"]
+    assert [args[1:] for args in cells] == [(harness.CONFIG_KEYS.index(key), r, key)
+                                            for r in range(2)]
+
+
 def test_spectrum_rejects_unknown_config(scenario_file, capsys):
     assert main(["spectrum", scenario_file, "--config", "w"]) == 2
     assert _stderr_error(capsys)["type"] == "usage"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellsim.detection import (
     ABSENT,
+    MAX_WAVE_HAZARD,
     DetectorConfig,
     PolariserSetting,
     _wave_candidates,
@@ -150,7 +151,7 @@ def _wave_relative_times(attenuation: float, seed: int, n: int = 150_000):
     rate = 1.0e5
     cfg_src = EmissionConfig(mean_rate=rate, duration=n / rate, hidden_variable="fixed",
                              fixed_angle=0.0)
-    stream = generate_emissions(cfg_src, seed=seed, wave_mode=True)
+    stream = generate_emissions(cfg_src, seed=seed)
     det = DetectorConfig(model="wave", wave_decay_tau=5.0, wave_gain=0.4,
                          jitter_sigma=0.0, dead_time=0.0)
     # a polariser at angle arccos(sqrt(attenuation)) from the fixed lambda
@@ -176,6 +177,34 @@ def test_wave_attenuation_lowers_probability_and_delays_clicks():
     cdf_half = np.searchsorted(np.sort(half), grid) / half.size
     assert np.all(cdf_half <= cdf_full + 0.01)
     assert np.median(half) > np.median(full) + 0.1
+
+
+@pytest.mark.parametrize("multiple", [False, True])
+def test_wave_model_ignores_the_cascade_delay(multiple):
+    stream = _uniform_stream(5_000, seed=71)
+    assert np.any(stream.b_delay > 0.0)
+    zeroed = EmissionStream(t0=stream.t0, lam=stream.lam, b_delay=np.zeros(stream.size))
+    cfg = DetectorConfig(model="wave", wave_decay_tau=5.0, wave_gain=1.0, dead_time=1.0,
+                         allow_multiple_detections=multiple)
+    for side, setting in (("A", ABSENT), ("B", PolariserSetting(0.3))):
+        got = simulate_side(stream, side, setting, cfg, np.random.default_rng(9))
+        want = simulate_side(zeroed, side, setting, cfg, np.random.default_rng(9))
+        assert got.size > 0
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.emission_index, want.emission_index)
+
+
+def test_multi_click_wave_detector_over_the_hazard_cap_is_refused():
+    # the cap is on the detector config, so simulate_side cannot be handed one
+    base = dict(model="wave", wave_decay_tau=1.0, allow_multiple_detections=True)
+    DetectorConfig(**base, wave_gain=float(MAX_WAVE_HAZARD))
+    with pytest.raises(ValueError, match="hazard units, over the cap"):
+        DetectorConfig(**base, wave_gain=1.0e5)
+    with pytest.raises(ValueError, match="hazard units, over the cap"):
+        DetectorConfig(**{**base, "wave_decay_tau": 2.0}, wave_gain=600.0)
+    # one click per emission at most, or another model: no cap
+    DetectorConfig(**{**base, "allow_multiple_detections": False}, wave_gain=1.0e5)
+    DetectorConfig(**{**base, "model": "particle"}, wave_gain=1.0e5)
 
 
 def test_wave_multiple_detections():

@@ -65,7 +65,7 @@ def test_truth_tally_and_raw_count_match_documented_seed_policy():
     for ci, key in enumerate(CONFIG_KEYS):
         set_a, set_b = SMALL.polariser_settings(key)
         rng_em, rng_a, rng_b = derive_rngs(SMALL.seed, ci, 0)
-        stream = generate_emissions(SMALL.emission, rng_em, wave_mode=False)
+        stream = generate_emissions(SMALL.emission, rng_em)
         clicks_a = simulate_side(stream, "A", set_a, SMALL.detector_a, rng_a)
         clicks_b = simulate_side(stream, "B", set_b, SMALL.detector_b, rng_b)
         cfg = report.configurations[key]
@@ -170,7 +170,7 @@ def test_repeats_sum_per_repeat_runs():
         spectrum = 0
         for r in range(2):
             rng_em, rng_a, rng_b = derive_rngs(SMALL.seed, ci, r)
-            stream = generate_emissions(SMALL.emission, rng_em, wave_mode=False)
+            stream = generate_emissions(SMALL.emission, rng_em)
             clicks_a = simulate_side(stream, "A", set_a, SMALL.detector_a, rng_a)
             clicks_b = simulate_side(stream, "B", set_b, SMALL.detector_b, rng_b)
             pairs = cell_pairs(clicks_a.times, clicks_b.times, SMALL.window)
@@ -491,3 +491,7 @@ def test_coincidence_curve_classical_visibility():
     # the printed form of the statistic flags classical curves too: its
     # orientation is kept verbatim, which is why reports carry V alongside
     assert s_vis.violated is True
+    # a point is configuration x at that angle, so its scenario checks the angle
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="relative_angle_x"):
+            coincidence_curve(scenario, [0.0, bad])

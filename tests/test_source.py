@@ -84,10 +84,11 @@ def test_b_delay_is_exponential_with_configured_lifetime():
     assert abs(b.std() / b.mean() - 1.0) < 0.02
 
 
-def test_wave_mode_emits_synchronized_pairs():
-    cfg = EmissionConfig(mean_rate=1.0e5, duration=0.01, cascade_lifetime_tau=5.0)
-    stream = generate_emissions(cfg, seed=5, wave_mode=True)
-    assert np.all(stream.b_delay == 0.0)
+def test_zero_cascade_lifetime_gives_zero_b_delay():
+    cfg = EmissionConfig(mean_rate=1.0e5, duration=0.01, cascade_lifetime_tau=0.0)
+    b = generate_emissions(cfg, seed=5).b_delay
+    assert b.size > 0
+    assert np.all(b == 0.0) and not np.signbit(b).any()
 
 
 def test_same_seed_reproduces_exactly():
