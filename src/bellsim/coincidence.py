@@ -9,8 +9,9 @@ every pairing in range, the way a time-to-amplitude converter records them.
 Every consumer gates a pair the same way: on the difference b - a itself,
 lo <= b - a <= hi, never on b >= a + lo, which rounds differently for
 non-integer bounds. _pair_ranges finds, for each A click, the range of B
-indices that pass this gate: a searchsorted on a + bound gives a first
-guess, which is then corrected with the subtraction.
+indices that pass this gate: one stable merge of the sorted keys a + bound
+with the sorted B clicks gives a first guess in linear time, which is then
+corrected with the subtraction.
 
 A simulated cell runs this gate once, in cell_pairs, and every consumer
 reads the one CellPairs it returns: the count, the delayed estimate, the
@@ -144,18 +145,28 @@ def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float,
                                side: str = "left") -> np.ndarray:
     """For each a, np.searchsorted(b - a, bound, side), with b - a computed per element.
 
-    side "left" gives the first j with b[j] - a >= bound, "right" the first
-    with b[j] - a > bound. The difference is monotone in b[j], so the
-    passing indices form a suffix. searchsorted(b, a + bound) is only a
-    guess, because fl(a + bound) - a can differ from bound; the guess is
-    then moved one distinct value of b at a time until the subtraction
-    agrees on both sides of it.
+    Both a and b must be ascending. side "left" gives the first j with
+    b[j] - a >= bound, "right" the first with b[j] - a > bound. The
+    difference is monotone in b[j], so the passing indices form a suffix.
+    The first guess is searchsorted(b, a + bound, side), taken from one
+    stable merge: fl(a + bound) is ascending too, and a key's place in the
+    merged order, less its rank among the keys, counts the b before it.
+    Keys go first for "left", so they precede equal b, and after b for
+    "right". It is only a guess, because fl(a + bound) - a can differ from
+    bound; the guess is then moved one distinct value of b at a time until
+    the subtraction agrees on both sides of it.
     """
-    passes = np.greater if side == "right" else np.greater_equal
+    keys = a + bound
+    if side == "right":
+        j = (np.concatenate((b, keys)).argsort(kind="stable") >= b.size).nonzero()[0]
+        passes = np.greater
+    else:
+        j = (np.concatenate((keys, b)).argsort(kind="stable") < keys.size).nonzero()[0]
+        passes = np.greater_equal
+    j -= np.arange(keys.size)
     # padded[j] is b[j - 1] and padded[j + 1] is b[j]; -inf never passes and
     # +inf always does, so every guess j has both neighbours
     padded = np.concatenate(([-np.inf], b, [np.inf]))
-    j = np.searchsorted(b, a + bound, side=side)
     while True:
         below_passes, at_passes = passes(padded[j + _NEIGHBOURS] - a, bound)
         if below_passes.any():

@@ -124,7 +124,11 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     is dropped unless rescued inside its run; the second click of a run
     never is. In runs of three or more, the kept clicks are the orbit of the
     run's first click under next(i), the first click j with t[j] - t[i] >=
-    dead_time (the scan's own test, see searchsorted_by_difference). The
+    dead_time (the scan's own test, see searchsorted_by_difference). next(i)
+    lies in i's run or is the click that ends it, which is at least
+    dead_time after every member, and so is every later click. So next is
+    searched for among the long runs' members alone, not over all of
+    times, and a result past the run's last member leaves the run. The
     orbits of all runs are collected at once by pointer doubling: with the
     clicks less than 2^k jumps from their run's first click collected, one
     step adds their images under the 2^k-fold jump and squares the jump
@@ -144,10 +148,10 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     # members of the long runs, back to back; local index k is members[k]
     local_starts = np.cumsum(lengths) - lengths
     members = np.arange(lengths.sum()) + np.repeat(starts - local_starts, lengths)
-    nxt = searchsorted_by_difference(times, times[members], dead_time, side="left")
+    member_times = times[members]
+    nxt = searchsorted_by_difference(member_times, member_times, dead_time, side="left")
     sink = members.size  # jumps that leave the run end here
-    jump = np.append(np.where(nxt < np.repeat(starts + lengths, lengths),
-                              nxt - members + np.arange(sink), sink), sink)
+    jump = np.append(np.where(nxt < np.repeat(local_starts + lengths, lengths), nxt, sink), sink)
     kept = local_starts
     while True:
         further = jump[kept]
@@ -173,11 +177,14 @@ def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSe
     if setting.present:
         rel = stream.lam - setting.angle
         transmitted = rng.random(n) < np.cos(rel) ** 2
-        eta = config.eta0
         if config.efficiency_fn == "cosine_modulated":
-            eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
-        eta = eta * config.enhancement_factor
-        ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
+            # the efficiency is formed only where it is compared
+            t = np.flatnonzero(transmitted)
+            eta = config.eta0 * (1.0 - config.modulation_depth * np.sin(rel[t]) ** 2)
+            ids = t[(rng.random(n)[t] < eta * config.enhancement_factor).nonzero()[0]]
+        else:
+            eta = config.eta0 * config.enhancement_factor
+            ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
     else:
         ids = np.flatnonzero(rng.random(n) < config.eta0)
     # drawn for every emission, so that each draw's size follows the seed policy

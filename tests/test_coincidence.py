@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -20,6 +20,7 @@ from bellsim.coincidence import (
     count_coincidences,
     estimate_accidentals_delayed,
     estimate_accidentals_product,
+    searchsorted_by_difference,
 )
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
 from bellsim.harness import CONFIG_KEYS, _run_configuration
@@ -264,6 +265,26 @@ def test_each_cell_gates_its_pairs_once(monkeypatch):
         assert _gate_calls(monkeypatch, tight) == 2 * cells, name
         far = dataclasses.replace(s, window=dataclasses.replace(w, accidental_offset=1.0e6))
         assert _gate_calls(monkeypatch, far) == 2 * cells, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.integers(min_value=0, max_value=60), max_size=25),
+       b=st.lists(st.integers(min_value=0, max_value=60), max_size=25),
+       base=st.sampled_from([0.0, 12345.6, 68176891.7]),
+       bound=st.sampled_from([0.0, 1.0, -2.0, 0.3, -0.7, 1.7]),
+       side=st.sampled_from(["left", "right"]))
+@example(a=[], b=[], base=0.0, bound=0.3, side="left")
+@example(a=[], b=[3], base=0.0, bound=0.3, side="right")
+@example(a=[3], b=[], base=0.0, bound=-0.7, side="left")
+@example(a=[0], b=[3], base=0.0, bound=0.3, side="left")
+@example(a=[0], b=[3], base=0.0, bound=0.3, side="right")
+def test_gate_search_equals_a_search_of_each_difference(a, b, base, bound, side):
+    # clicks on a 0.1 ns grid: duplicates, and differences that tie with the
+    # bound or round to either side of it, fl(a + bound) - a != bound
+    a = np.sort(np.array(a, dtype=float)) / 10.0 + base
+    b = np.sort(np.array(b, dtype=float)) / 10.0 + base
+    expected = [np.searchsorted(b - x, bound, side=side) for x in a]
+    assert searchsorted_by_difference(b, a, bound, side).tolist() == expected
 
 
 @pytest.mark.parametrize("a, b", [([0.0, math.nan], [math.nan, 1.0]),

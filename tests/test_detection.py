@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.detection import (
@@ -261,6 +261,24 @@ def _reference_dead_time(times, dead):
        dead=st.floats(min_value=0.0, max_value=30.0))
 def test_apply_dead_time_matches_reference(times, dead):
     times = sorted(times)
+    assert apply_dead_time(times, dead).tolist() == _reference_dead_time(times, dead)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(min_value=0, max_value=20), max_size=60),
+       base=st.sampled_from([0.0, 12345.6, 68176891.7]),
+       dead=st.sampled_from([0.3, 1.7]))
+# one run whose members all jump to its end click at 2.0, then a last run
+# that ends the array, whose jumps leave for the sink
+@example(gaps=[0, 1, 1, 1, 17, 1, 1, 1, 1], base=0.0, dead=1.7)
+# the members of the first run jump to the first member of the next run
+@example(gaps=[0, 1, 1, 17, 1, 1, 5, 5, 5, 5], base=0.0, dead=1.7)
+@example(gaps=[0, 1, 1, 1, 3, 0, 1, 2, 1, 1], base=0.0, dead=0.3)
+def test_apply_dead_time_matches_reference_at_ties(gaps, base, dead):
+    # clicks on a 0.1 ns grid, where gaps tie with the dead time or round
+    # to either side of it; each click's next kept click lies in its run or
+    # is the click that ends the run
+    times = (np.cumsum(gaps, dtype=float) / 10.0 + base).tolist()
     assert apply_dead_time(times, dead).tolist() == _reference_dead_time(times, dead)
 
 
