@@ -177,14 +177,11 @@ def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSe
     if setting.present:
         rel = stream.lam - setting.angle
         transmitted = rng.random(n) < np.cos(rel) ** 2
+        eta = config.eta0
         if config.efficiency_fn == "cosine_modulated":
-            # the efficiency is formed only where it is compared
-            t = np.flatnonzero(transmitted)
-            eta = config.eta0 * (1.0 - config.modulation_depth * np.sin(rel[t]) ** 2)
-            ids = t[(rng.random(n)[t] < eta * config.enhancement_factor).nonzero()[0]]
-        else:
-            eta = config.eta0 * config.enhancement_factor
-            ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
+            eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
+        eta = eta * config.enhancement_factor
+        ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
     else:
         ids = np.flatnonzero(rng.random(n) < config.eta0)
     # drawn for every emission, so that each draw's size follows the seed policy
