@@ -170,10 +170,11 @@ def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float,
     while True:
         below_passes, at_passes = passes(padded[j + _NEIGHBOURS] - a, bound)
         if below_passes.any():
-            j[below_passes] = np.searchsorted(padded, padded[j[below_passes]], side="left") - 1
+            k = below_passes.nonzero()[0]
+            j[k] = np.searchsorted(padded, padded[j[k]], side="left") - 1
         elif not at_passes.all():
-            fails = ~at_passes
-            j[fails] = np.searchsorted(padded, padded[j[fails] + 1], side="right") - 1
+            k = (~at_passes).nonzero()[0]
+            j[k] = np.searchsorted(padded, padded[j[k] + 1], side="right") - 1
         else:
             return j
 
@@ -219,7 +220,7 @@ def _one_use_count(j0: np.ndarray, j1: np.ndarray) -> int:
     chained[1:] = overlap
     chained[:-1] |= overlap
     matched = int(np.count_nonzero(~chained & (j1 > j0)))
-    idx = np.flatnonzero(chained)
+    idx = chained.nonzero()[0]
     if idx.size:
         # Hall's theorem: matches = clicks - the largest deficiency
         # |S| - |union of the ranges of S| over sets S of clicks. It is
@@ -323,8 +324,8 @@ def _ranges_from_deltas(g0: np.ndarray, ia: np.ndarray, deltas: np.ndarray,
     lie inside that range.
     """
     below = deltas < lo
-    inside = np.flatnonzero(~below & (deltas <= hi))
-    j0 = g0 + np.bincount(ia[np.flatnonzero(below)], minlength=g0.size)
+    inside = (~below & (deltas <= hi)).nonzero()[0]
+    j0 = g0 + np.bincount(ia[below.nonzero()[0]], minlength=g0.size)
     return j0, j0 + np.bincount(ia[inside], minlength=g0.size), inside
 
 

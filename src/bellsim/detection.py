@@ -138,10 +138,10 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     if n <= 1 or dead_time <= 0.0:
         return keep
-    np.greater_equal(np.diff(times), dead_time, out=keep[1:])
-    run_starts = np.flatnonzero(keep)
-    lengths = np.diff(np.append(run_starts, n))
-    long_runs = np.flatnonzero(lengths > 2)
+    np.greater_equal(times[1:] - times[:-1], dead_time, out=keep[1:])
+    run_starts = keep.nonzero()[0]
+    lengths = np.concatenate((run_starts[1:], [n])) - run_starts
+    long_runs = (lengths > 2).nonzero()[0]
     if not long_runs.size:
         return keep
     starts, lengths = run_starts[long_runs], lengths[long_runs]
@@ -151,11 +151,12 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     member_times = times[members]
     nxt = searchsorted_by_difference(member_times, member_times, dead_time, side="left")
     sink = members.size  # jumps that leave the run end here
-    jump = np.append(np.where(nxt < np.repeat(local_starts + lengths, lengths), nxt, sink), sink)
+    jump = np.concatenate((np.where(nxt < np.repeat(local_starts + lengths, lengths), nxt, sink),
+                           [sink]))
     kept = local_starts
     while True:
         further = jump[kept]
-        further = further[further != sink]
+        further = further[(further != sink).nonzero()[0]]
         if not further.size:
             break
         kept = np.concatenate((kept, further))
@@ -168,7 +169,7 @@ def apply_dead_time(times, dead_time: float) -> np.ndarray:
     """Filter a sorted click-time array so surviving gaps are >= dead_time."""
     check_number("dead_time", dead_time, ge=0.0)
     t = _as_sorted_array(times, "click times")
-    return t[_dead_time_keep_mask(t, dead_time)]
+    return t[_dead_time_keep_mask(t, dead_time).nonzero()[0]]
 
 
 def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSetting,
@@ -181,9 +182,9 @@ def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSe
         if config.efficiency_fn == "cosine_modulated":
             eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
         eta = eta * config.enhancement_factor
-        ids = np.flatnonzero(transmitted & (rng.random(n) < eta))
+        ids = (transmitted & (rng.random(n) < eta)).nonzero()[0]
     else:
-        ids = np.flatnonzero(rng.random(n) < config.eta0)
+        ids = (rng.random(n) < config.eta0).nonzero()[0]
     # drawn for every emission, so that each draw's size follows the seed policy
     jitter = rng.normal(0.0, config.jitter_sigma, n)
     # summed per click in the order ((t0 + insertion delay) + cascade delay) + jitter
@@ -215,7 +216,7 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
     all_times, all_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     while True:
         eps = rng.exponential(1.0, idx.size)
-        hit = np.flatnonzero(eps < budget)  # a zero budget can never pass, eps > 0
+        hit = (eps < budget).nonzero()[0]  # a zero budget can never pass, eps > 0
         idx = idx[hit]
         if idx.size == 0:
             break
@@ -244,6 +245,6 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
         times, ids = _wave_candidates(stream, setting, config, rng)
     order = np.argsort(times, kind="stable")
     times = times[order]
-    kept = np.flatnonzero(_dead_time_keep_mask(times, config.dead_time))
+    kept = _dead_time_keep_mask(times, config.dead_time).nonzero()[0]
     return ClickStream(times=times[kept], emission_index=ids[order[kept]])
 

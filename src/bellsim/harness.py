@@ -269,7 +269,7 @@ def _window_inclusion(pairs: CellPairs, ids_a: np.ndarray, ids_b: np.ndarray) ->
         return 0, 0
     size = int(max(ids_a.max(), ids_b.max())) + 1
     first_a, first_b = _first_clicks(ids_a, size), _first_clicks(ids_b, size)
-    both = np.flatnonzero((first_a < ids_a.size) & (first_b < ids_b.size))
+    both = ((first_a < ids_a.size) & (first_b < ids_b.size)).nonzero()[0]
     i, j = first_a[both], first_b[both]
     inside = int(np.count_nonzero((pairs.j0[i] <= j) & (j < pairs.j1[i])))
     return inside, int(both.size)

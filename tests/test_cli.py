@@ -1,11 +1,20 @@
 """CLI contract: happy paths per subcommand, JSON error objects on failure."""
 
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bellsim import harness
+import bellsim
+from bellsim import cli, harness
 from bellsim.cli import main
+
+SRC = str(Path(bellsim.__file__).resolve().parent.parent)
 
 SCENARIO = {
     "seed": 3,
@@ -357,3 +366,49 @@ def test_key_given_twice_is_json_error(tmp_path, capsys, command, name, text, ke
     message = json.loads(captured.err)["error"]["message"]
     assert message.startswith(f"{path}: ")
     assert f"{key} given twice" in message
+
+
+# run in a fresh process: the pytest process's heap history (earlier tests
+# freeing large arrays raise glibc's dynamic thresholds) would hide the faults
+_SECOND_RUN_FAULTS = """
+import resource, sys
+import bellsim
+cli_imported = "bellsim.cli" in sys.modules
+from bellsim.cli import main
+argv = ["simulate", sys.argv[1], "--out", sys.argv[2]]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(cli_imported, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc")
+def test_second_run_reuses_the_first_runs_pages(tmp_path):
+    # 50,000 emissions per cell, as in the aspect-like benchmark run; with
+    # glibc's default policy the second run faults in thousands of pages
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"preset": "aspect-like", "seed": 0, "repeats": 1,
+                                "emission": {"mean_rate": 2.0e5, "duration": 0.25}}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS, str(path),
+                           str(tmp_path / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    cli_imported, faults = done.stdout.split()
+    assert cli_imported == "False"
+    assert int(faults) < 500
+
+
+def _no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_allocator_policy_is_skipped_without_mallopt(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+    assert main(["stats", "--bundled"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["x"] == 86.8
