@@ -4,13 +4,14 @@
 At low rates accidentals are negligible and raw, corrected, and truth-only
 statistics coincide. As the rate rises the accidental share grows, the raw
 statistics sag, and the corrected ones stay centred on truth as long as the
-source is Poisson. Writes the full sweep table as CSV and prints a summary.
+source is Poisson. Writes the full sweep table as CSV and prints a summary,
+in which a point with no true pair or a zero denominator reads "undefined".
 """
 
 import argparse
 import dataclasses
 
-from bellsim.harness import SweepSpec, run_sweep
+from bellsim.harness import SweepSpec, run_sweep, sweep_csv_text
 from bellsim.presets import aspect_like
 
 
@@ -31,24 +32,21 @@ def main() -> None:
         emission=dataclasses.replace(base.emission, duration=args.duration),
         seed=args.seed,
     )
-    result = run_sweep(SweepSpec(parameter="mean_rate",
-                                 values=tuple(args.rates), fixed=fixed))
+    spec = SweepSpec(parameter="mean_rate", values=tuple(args.rates), fixed=fixed)
+    reports = run_sweep(spec)
     with open(args.out, "w", newline="") as fh:
-        fh.write(result.to_csv_text())
+        fh.write(sweep_csv_text(spec, reports))
 
-    print(f"{'rate/s':>10} {'acc/true':>9} {'S_F raw':>8} {'S_F corr':>9} {'S_F truth':>10}")
-    for row in result.rows:
-        r = row.report
-        values = {
-            label: {s.name: s.value for s in report.statistics()}
-            for label, report in (("raw", r.report_raw),
-                                  ("corr", r.report_corrected_product),
-                                  ("truth", r.report_truth))
-        }
+    columns = {"acc/true": 9, "S_F raw": 8, "S_F corr": 9, "S_F truth": 10}
+    print(f"{'rate/s':>10} " + " ".join(f"{name:>{w}}" for name, w in columns.items()))
+    for value, r in zip(spec.values, reports):
         acc = sum(c.accidental_pairs for c in r.configurations.values())
         true = sum(c.true_pairs for c in r.configurations.values())
-        print(f"{row.value:10.0f} {acc / true:9.4f} {values['raw']['s_freedman']:8.4f} "
-              f"{values['corr']['s_freedman']:9.4f} {values['truth']['s_freedman']:10.4f}")
+        cells = [acc / true if true else None]
+        cells += [r.reports[v].s_freedman.value for v in ("raw", "corrected_product", "truth")]
+        print(f"{value:10.0f} " + " ".join(
+            f"{'undefined':>{w}}" if v is None else f"{v:{w}.4f}"
+            for v, w in zip(cells, columns.values())))
     print(f"wrote {args.out}")
 
 

@@ -20,10 +20,7 @@ def main() -> None:
 
     result = reanalyze_counts(args.counts or bundled_counts_path())
     print("counts:", {k: v for k, v in result.counts.to_dict().items() if v is not None})
-    reports = [("raw", result.raw)]
-    if result.corrected is not None:
-        reports.append(("corrected", result.corrected))
-    for label, report in reports:
+    for label, report in result.reports.items():
         print(f"\n{label}")
         for s in report.statistics():
             if s.value is None:

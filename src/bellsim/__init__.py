@@ -40,7 +40,6 @@ from bellsim.harness import (
     ScenarioConfig,
     ScenarioReport,
     SweepSpec,
-    SweepResult,
     coincidence_curve,
     parse_counts_file,
     reanalyze_counts,
@@ -48,6 +47,7 @@ from bellsim.harness import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
+    sweep_csv_text,
 )
 from bellsim.presets import PRESETS, bundled_counts_path, load_scenario_file
 from bellsim.source import EmissionConfig, EmissionStream, generate_emissions
@@ -71,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "StatResult",
-    "SweepResult",
     "SweepSpec",
     "WindowConfig",
     "apply_dead_time",
@@ -95,4 +94,5 @@ __all__ = [
     "scenario_from_dict",
     "simulate_side",
     "subtract_accidentals",
+    "sweep_csv_text",
 ]

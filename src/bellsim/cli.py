@@ -18,7 +18,7 @@ import json
 import sys
 
 from bellsim.harness import (CONFIG_KEYS, reanalyze_counts, run_configuration, run_scenario,
-                             run_sweep)
+                             run_sweep, sweep_csv_text)
 from bellsim.presets import bundled_counts_path, load_scenario_file, load_sweep_file
 
 _M_TRIM_THRESHOLD = -1
@@ -109,9 +109,10 @@ def _cmd_simulate(args) -> int:
     report = run_scenario(load_scenario_file(args.scenario))
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     if args.counts_csv:
-        lines = [",".join(str(v) for v in row) for row in report.counts_csv_rows()]
-        with open(args.counts_csv, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = ["config,raw,accidental_delayed,accidental_product"]
+        lines += [f"{k},{c.raw_count},{c.acc_delayed},{float(c.acc_product)!r}"
+                  for k, c in report.configurations.items()]
+        _emit("\n".join(lines) + "\n", args.counts_csv)
     return 0
 
 
@@ -134,8 +135,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    result = run_sweep(load_sweep_file(args.sweep))
-    _emit(result.to_csv_text(), args.out)
+    spec = load_sweep_file(args.sweep)
+    _emit(sweep_csv_text(spec, run_sweep(spec)), args.out)
     return 0
 
 

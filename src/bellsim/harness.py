@@ -13,10 +13,13 @@ accidental estimates (delayed window and singles product), a time-difference
 spectrum, a simulation-only tally of in-window pairings that came from
 one emission, and the share of emissions whose first clicks pair inside
 the window; all but the product estimate read the cell's one pair pass,
-cell_pairs. A configuration sums its repeats' cells. Statistics are then
-computed raw, corrected with either estimate, and on the ground-truth pairs.
-A coincidence curve point is configuration x at that relative angle, counted
-by the same cells.
+cell_pairs. A configuration sums its repeats' cells. Each report variant of
+VARIANTS (raw, corrected_delayed, corrected_product, truth) then builds one
+count table from the configurations and computes its statistics on it, after
+subtracting the variant's accidentals if it has any. A coincidence curve
+point is configuration x at that relative angle, counted by the same cells.
+A sweep runs one scenario per value and returns their reports;
+sweep_csv_text writes them as a table.
 
 A scenario is refused when it is parsed if a cell would expect more than
 MAX_EMISSIONS_PER_CELL emissions, or if a multi-click wave detector would
@@ -72,6 +75,14 @@ from bellsim.validation import (check_choice, check_keys, check_number, check_pa
                                 parse_json, require_numbers)
 
 CONFIG_KEYS = ("x", "y", "z", "Z")
+
+# report variant -> (ConfigurationResult count field, accidental field or None, BellReport label)
+VARIANTS = {
+    "raw": ("raw_count", None, "raw"),
+    "corrected_delayed": ("raw_count", "acc_delayed", "corrected"),
+    "corrected_product": ("raw_count", "acc_product", "corrected"),
+    "truth": ("true_pairs", None, "truth"),
+}
 
 
 @dataclass(frozen=True)
@@ -189,41 +200,37 @@ class ConfigurationResult:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Full output of run_scenario; to_dict() is the JSON report shape."""
+    """Full output of run_scenario; to_dict() is the JSON report shape.
+
+    counts and reports are keyed by VARIANTS; a corrected variant's counts
+    carry its accidentals, before they are subtracted.
+    """
 
     scenario: ScenarioConfig
     configurations: dict[str, ConfigurationResult]
-    counts_raw: RunCounts
-    counts_delayed: RunCounts
-    counts_product: RunCounts
-    counts_truth: RunCounts
-    report_raw: BellReport
-    report_corrected_delayed: BellReport
-    report_corrected_product: BellReport
-    report_truth: BellReport
+    counts: dict[str, RunCounts]
+    reports: dict[str, BellReport]
 
     @property
     def no_data(self) -> bool:
-        return self.report_raw.no_data
+        return self.reports["raw"].no_data
 
     def to_dict(self) -> dict:
+        counts = {k: c.to_dict() for k, c in self.counts.items()}
+        reports = {k: r.to_dict() for k, r in self.reports.items()}
         return {
             "scenario": self.scenario.to_dict(),
             "configurations": {k: c.to_dict() for k, c in self.configurations.items()},
             "counts": {
-                "raw": self.counts_raw.to_dict(),
-                "with_delayed_accidentals": self.counts_delayed.to_dict(),
-                "with_product_accidentals": self.counts_product.to_dict(),
+                "raw": counts["raw"],
+                "with_delayed_accidentals": counts["corrected_delayed"],
+                "with_product_accidentals": counts["corrected_product"],
             },
-            "reports": {
-                "raw": self.report_raw.to_dict(),
-                "corrected_delayed": self.report_corrected_delayed.to_dict(),
-                "corrected_product": self.report_corrected_product.to_dict(),
-            },
+            "reports": {k: reports[k] for k in ("raw", "corrected_delayed", "corrected_product")},
             "simulation_only": {
                 "note": "emission-tag ground truth; not observable in a real experiment",
-                "true_counts": self.counts_truth.to_dict(),
-                "report_truth": self.report_truth.to_dict(),
+                "true_counts": counts["truth"],
+                "report_truth": reports["truth"],
                 "per_configuration": {
                     k: {"true_pairs": c.true_pairs, "accidental_pairs": c.accidental_pairs}
                     for k, c in self.configurations.items()
@@ -231,13 +238,6 @@ class ScenarioReport:
             },
             "no_data": self.no_data,
         }
-
-    def counts_csv_rows(self) -> list[list]:
-        rows = [["config", "raw", "accidental_delayed", "accidental_product"]]
-        for k in CONFIG_KEYS:
-            c = self.configurations[k]
-            rows.append([k, c.raw_count, c.acc_delayed, repr(float(c.acc_product))])
-        return rows
 
 
 def derive_rngs(seed: int, config_index: int, repeat_index: int):
@@ -329,39 +329,15 @@ def run_configuration(s: ScenarioConfig, key: str) -> ConfigurationResult:
 def run_scenario(s: ScenarioConfig) -> ScenarioReport:
     """Simulate all four configurations and compute every report variant."""
     results = {key: _run_configuration(s, ci, key) for ci, key in enumerate(CONFIG_KEYS)}
-    duration_total = s.emission.duration * s.repeats
-    rx, ry, rz, rZ = (results[k] for k in CONFIG_KEYS)
-
-    counts_raw = RunCounts(x=rx.raw_count, y=ry.raw_count, z=rz.raw_count, Z=rZ.raw_count,
-                           duration=duration_total)
-    counts_delayed = dataclasses.replace(
-        counts_raw, acc_x=rx.acc_delayed, acc_y=ry.acc_delayed,
-        acc_z=rz.acc_delayed, acc_Z=rZ.acc_delayed)
-    counts_product = dataclasses.replace(
-        counts_raw, acc_x=rx.acc_product, acc_y=ry.acc_product,
-        acc_z=rz.acc_product, acc_Z=rZ.acc_product)
-    counts_truth = RunCounts(x=rx.true_pairs, y=ry.true_pairs, z=rz.true_pairs,
-                             Z=rZ.true_pairs, duration=duration_total)
-
-    report_raw = compute_bell_statistics(counts_raw, variant="raw")
-    report_corr_delayed = compute_bell_statistics(subtract_accidentals(counts_delayed),
-                                                  variant="corrected")
-    report_corr_product = compute_bell_statistics(subtract_accidentals(counts_product),
-                                                  variant="corrected")
-    report_truth = compute_bell_statistics(counts_truth, variant="truth")
-
-    return ScenarioReport(
-        scenario=s,
-        configurations=results,
-        counts_raw=counts_raw,
-        counts_delayed=counts_delayed,
-        counts_product=counts_product,
-        counts_truth=counts_truth,
-        report_raw=report_raw,
-        report_corrected_delayed=report_corr_delayed,
-        report_corrected_product=report_corr_product,
-        report_truth=report_truth,
-    )
+    counts, reports = {}, {}
+    for variant, (count_field, acc_field, label) in VARIANTS.items():
+        fields = {k: getattr(c, count_field) for k, c in results.items()}
+        if acc_field is not None:
+            fields.update({f"acc_{k}": getattr(c, acc_field) for k, c in results.items()})
+        table = counts[variant] = RunCounts(**fields, duration=s.emission.duration * s.repeats)
+        reports[variant] = compute_bell_statistics(
+            table if acc_field is None else subtract_accidentals(table), variant=label)
+    return ScenarioReport(scenario=s, configurations=results, counts=counts, reports=reports)
 
 
 def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> list[tuple[float, int]]:
@@ -431,12 +407,6 @@ def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> Scenar
     raise ValueError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEP_PARAMETERS}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    report: ScenarioReport
-
-
 _SWEEP_COLUMNS = (
     "value", "x", "y", "z", "Z",
     "acc_x_product", "acc_y_product", "acc_z_product", "acc_Z_product",
@@ -446,44 +416,36 @@ _SWEEP_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def _row_values(self, row: SweepRow) -> list:
-        rep = row.report
-        cfg = rep.configurations
-        true_total = sum(cfg[k].true_pairs for k in CONFIG_KEYS)
-        acc_total = sum(cfg[k].accidental_pairs for k in CONFIG_KEYS)
-        raw, corr = rep.report_raw, rep.report_corrected_product
-        return [
-            row.value,
-            cfg["x"].raw_count, cfg["y"].raw_count, cfg["z"].raw_count, cfg["Z"].raw_count,
-            cfg["x"].acc_product, cfg["y"].acc_product, cfg["z"].acc_product, cfg["Z"].acc_product,
+def sweep_csv_text(spec: SweepSpec, reports: Sequence[ScenarioReport]) -> str:
+    """The sweep table: one row per value of spec, from its report in run_sweep's order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_SWEEP_COLUMNS)
+    for value, rep in zip(spec.values, reports, strict=True):
+        cfg = [rep.configurations[k] for k in CONFIG_KEYS]
+        true_total = sum(c.true_pairs for c in cfg)
+        acc_total = sum(c.accidental_pairs for c in cfg)
+        raw, corr = rep.reports["raw"], rep.reports["corrected_product"]
+        row = [
+            value, *(c.raw_count for c in cfg), *(c.acc_product for c in cfg),
             raw.s_std.value, raw.s_chsh.value, raw.s_freedman.value,
             corr.s_std.value, corr.s_chsh.value, corr.s_freedman.value,
             raw.visibility, true_total, acc_total,
             (acc_total / true_total) if true_total else None,
         ]
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in self.rows:
-            writer.writerow(["" if v is None else v for v in self._row_values(row)])
-        return buf.getvalue()
+        writer.writerow(["" if v is None else v for v in row])
+    return buf.getvalue()
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
     """run_scenario on each point's scenario, whose seed is base seed + value index."""
-    rows: list[SweepRow] = []
+    reports = []
     for value, scenario in zip(spec.values, spec.scenarios):
         try:
-            rows.append(SweepRow(value=value, report=run_scenario(scenario)))
+            reports.append(run_scenario(scenario))
         except Exception as exc:
             raise RuntimeError(f"sweep aborted at {spec.parameter} = {value}: {exc}") from exc
-    return SweepResult(rows=tuple(rows))
+    return reports
 
 
 def _merge_section(current, overrides: dict, section: str):
@@ -549,24 +511,18 @@ def parse_counts_file(path) -> RunCounts:
 @dataclass(frozen=True)
 class ReanalysisResult:
     counts: RunCounts
-    raw: BellReport
-    corrected: BellReport | None  # None when the file carries no accidentals
+    reports: dict[str, BellReport]  # "raw", and "corrected" when the file carries accidentals
 
     def to_dict(self) -> dict:
-        return {
-            "counts": self.counts.to_dict(),
-            "reports": {
-                "raw": self.raw.to_dict(),
-                **({"corrected": self.corrected.to_dict()} if self.corrected else {}),
-            },
-        }
+        return {"counts": self.counts.to_dict(),
+                "reports": {k: r.to_dict() for k, r in self.reports.items()}}
 
 
 def reanalyze_counts(path) -> ReanalysisResult:
     """Recompute raw (and, if accidentals are present, corrected) statistics."""
     counts = parse_counts_file(path)
-    raw = compute_bell_statistics(counts, variant="raw")
-    corrected = None
+    reports = {"raw": compute_bell_statistics(counts, variant="raw")}
     if counts.has_accidentals:
-        corrected = compute_bell_statistics(subtract_accidentals(counts), variant="corrected")
-    return ReanalysisResult(counts=counts, raw=raw, corrected=corrected)
+        reports["corrected"] = compute_bell_statistics(subtract_accidentals(counts),
+                                                       variant="corrected")
+    return ReanalysisResult(counts=counts, reports=reports)

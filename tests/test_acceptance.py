@@ -63,8 +63,8 @@ def poisson_suite():
 def test_criterion_1_golden_counts_reanalysis(capsys):
     start = time.perf_counter()
     result = reanalyze_counts(bundled_counts_path())
-    raw = _values(result.raw)
-    corrected = _values(result.corrected)
+    raw = _values(result.reports["raw"])
+    corrected = _values(result.reports["corrected"])
     elapsed = time.perf_counter() - start
     deviations = [abs(raw[n] - PRINTED_RAW[n]) for n in STAT_NAMES]
     deviations += [abs(corrected[n] - PRINTED_CORRECTED[n]) for n in STAT_NAMES]
@@ -75,8 +75,8 @@ def test_criterion_1_golden_counts_reanalysis(capsys):
 
 def test_criterion_2_subtraction_flips_all_three_verdicts(capsys):
     result = reanalyze_counts(bundled_counts_path())
-    raw_flags = _flags(result.raw)
-    corrected_flags = _flags(result.corrected)
+    raw_flags = _flags(result.reports["raw"])
+    corrected_flags = _flags(result.reports["corrected"])
     ok = (set(raw_flags.values()) == {False} and
           set(corrected_flags.values()) == {True})
     _verdict(capsys, 2, "raw row violates no limit, corrected row violates all",
@@ -100,7 +100,7 @@ def test_criterion_3_accidentals_follow_1_2_4_proportions(capsys):
 
 
 def test_criterion_4_raw_statistics_respect_all_limits(capsys, poisson_suite):
-    per_stat = {n: np.array([_values(r.report_raw)[n] for r in poisson_suite])
+    per_stat = {n: np.array([_values(r.reports["raw"])[n] for r in poisson_suite])
                 for n in STAT_NAMES}
     worst = []
     ok = True
@@ -120,7 +120,7 @@ def test_criterion_5_ideal_chain_matches_classical_values(capsys):
         detector_b=DetectorConfig(jitter_sigma=0.0, dead_time=0.0),
         seed=2026,
     )
-    values = _values(run_scenario(scenario).report_raw)  # 1e6 emissions
+    values = _values(run_scenario(scenario).reports["raw"])  # 1e6 emissions
     deviations = {n: abs(values[n] - CLASSICAL[n]) for n in STAT_NAMES}
     ok = max(deviations.values()) <= 0.01
     _verdict(capsys, 5, "1e6-emission run converges to the analytic statistics",
@@ -130,10 +130,10 @@ def test_criterion_5_ideal_chain_matches_classical_values(capsys):
 def test_criterion_6a_subtraction_unbiased_for_poisson_source(capsys, poisson_suite):
     details = []
     ok = True
-    for variant in ("report_corrected_product", "report_corrected_delayed"):
+    for variant in ("corrected_product", "corrected_delayed"):
         for name in STAT_NAMES:
-            truth = np.array([_values(r.report_truth)[name] for r in poisson_suite])
-            corrected = np.array([_values(getattr(r, variant))[name]
+            truth = np.array([_values(r.reports["truth"])[name] for r in poisson_suite])
+            corrected = np.array([_values(r.reports[variant])[name]
                                   for r in poisson_suite])
             # Monte Carlo error of the 20-seed mean statistic
             sigma_mean = float(truth.std(ddof=1)) / math.sqrt(len(truth))
@@ -154,8 +154,8 @@ def test_criterion_6b_subtraction_biased_for_min_separation_source(capsys):
     wins = 0
     for seed in range(20):
         report = run_scenario(dataclasses.replace(scenario, seed=seed))
-        corrected = _values(report.report_corrected_product)["s_freedman"]
-        truth = _values(report.report_truth)["s_freedman"]
+        corrected = _values(report.reports["corrected_product"])["s_freedman"]
+        truth = _values(report.reports["truth"])["s_freedman"]
         wins += corrected > truth
     ok = wins >= 18
     _verdict(capsys, 6, "corrected overshoots truth under a 500 ns hard core",

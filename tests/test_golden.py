@@ -11,8 +11,10 @@ import json
 
 import pytest
 
-from bellsim.harness import SweepSpec, coincidence_curve, run_scenario, run_sweep
-from bellsim.presets import PRESETS, aspect_like, wave_like
+from bellsim.cli import main
+from bellsim.harness import (SweepSpec, coincidence_curve, reanalyze_counts, run_scenario,
+                             run_sweep, sweep_csv_text)
+from bellsim.presets import PRESETS, aspect_like, bundled_counts_path, wave_like
 
 # shortened beam time per cell: 4 cells of ~2000 (particle) or ~1000
 # (wave) emissions each, enough for every report section to be nonzero
@@ -57,6 +59,9 @@ ZERO_EMISSION_WAVE_DIGESTS = {
     True: "ab06c2904cfb623701c65388f667adf1cb4e59a5e8641b12f771a87975e8439f",
 }
 SWEEP_CSV_DIGEST = "ec3d29c4a49e63195e80ca285e085efe73adb8bf9c4263f6df9ed920d63ded60"
+# the CLI's --counts-csv file, acc_product written by repr
+COUNTS_CSV_DIGEST = "2531bd1caa5b7380457edb7bafbcf5a2a9f182eae079217d82bc2909bb8cd5a3"
+BUNDLED_REANALYSIS_DIGEST = "ba8b1298c064362c8742e35cc7d8ddab4360cbe333b0f03d4c98eb8e571b9501"
 CURVE_DIGESTS = {
     "aspect-like": "1d001a9b773d338a4eb98de6516f102a5a8fc9261837b900c6aaf2455e5c9a36",
     "wave-like": "42c6761b046d0d0dc69490e522b0c7be4100c2d8ed0c75c43f05f6d977ae0ee0",
@@ -114,7 +119,22 @@ def test_particle_branches_report_digest():
 def test_sweep_csv_digest():
     spec = SweepSpec(parameter="mean_rate", values=(1.0e5, 1.0e6),
                      fixed=_short(aspect_like(), seed=5))
-    assert _sha256(run_sweep(spec).to_csv_text()) == SWEEP_CSV_DIGEST
+    assert _sha256(sweep_csv_text(spec, run_sweep(spec))) == SWEEP_CSV_DIGEST
+
+
+def test_counts_csv_digest(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"preset": "aspect-like", "seed": 0,
+                                    "emission": {"duration": SHORT_DURATION}}))
+    counts_csv = tmp_path / "counts.csv"
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "report.json"),
+                 "--counts-csv", str(counts_csv)]) == 0
+    assert _sha256(counts_csv.read_text()) == COUNTS_CSV_DIGEST
+
+
+def test_bundled_reanalysis_digest():
+    result = reanalyze_counts(bundled_counts_path())
+    assert _sha256(json.dumps(result.to_dict(), indent=2)) == BUNDLED_REANALYSIS_DIGEST
 
 
 @pytest.mark.parametrize("preset", sorted(CURVE_DIGESTS))

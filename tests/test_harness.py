@@ -33,6 +33,7 @@ from bellsim.harness import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
+    sweep_csv_text,
 )
 from bellsim.presets import (
     PRESETS,
@@ -55,7 +56,7 @@ def test_run_scenario_is_deterministic():
     assert json.dumps(first.to_dict(), sort_keys=True) == \
         json.dumps(second.to_dict(), sort_keys=True)
     different = run_scenario(dataclasses.replace(SMALL, seed=6))
-    assert different.counts_raw != first.counts_raw
+    assert different.counts["raw"] != first.counts["raw"]
 
 
 def test_truth_tally_and_raw_count_match_documented_seed_policy():
@@ -156,9 +157,9 @@ def test_zero_duration_scenario_reports_no_data():
         SMALL, emission=EmissionConfig(mean_rate=1.0e4, duration=0.0))
     report = run_scenario(scenario)
     assert report.no_data
-    assert report.report_raw.no_data
-    assert report.counts_raw == RunCounts(x=0, y=0, z=0, Z=0, duration=0.0)
-    assert all(s.value is None for s in report.report_raw.statistics())
+    assert report.reports["raw"].no_data
+    assert report.counts["raw"] == RunCounts(x=0, y=0, z=0, Z=0, duration=0.0)
+    assert all(s.value is None for s in report.reports["raw"].statistics())
 
 
 def test_repeats_sum_per_repeat_runs():
@@ -189,14 +190,14 @@ def test_repeats_sum_per_repeat_runs():
         assert cfg.spectrum.counts.tolist() == spectrum.tolist()
         assert cfg.spectrum.total_pairs_considered == int(spectrum.sum())
         assert cfg.window_inclusion_fraction == inside / emissions
-    assert twice.counts_raw.duration == pytest.approx(2 * SMALL.emission.duration)
+    assert twice.counts["raw"].duration == pytest.approx(2 * SMALL.emission.duration)
 
 
 def test_scenario_report_reasonableness():
     report = run_scenario(dataclasses.replace(
         SMALL, emission=EmissionConfig(mean_rate=1.0e5, duration=0.5), seed=11))
     # classical particle chain: S_F near its analytic value
-    assert report.report_raw.s_freedman.value == pytest.approx(0.17678, abs=0.02)
+    assert report.reports["raw"].s_freedman.value == pytest.approx(0.17678, abs=0.02)
     # singles halve when the B polariser goes in
     cfg = report.configurations
     assert cfg["x"].singles_b / cfg["Z"].singles_b == pytest.approx(0.5, abs=0.02)
@@ -217,7 +218,7 @@ def test_window_size_neutral_for_particle_model():
     for seed in range(6):
         s8 = run_scenario(dataclasses.replace(base, window=w8, seed=seed))
         s20 = run_scenario(dataclasses.replace(base, window=w20, seed=seed))
-        diffs.append(s8.report_raw.s_freedman.value - s20.report_raw.s_freedman.value)
+        diffs.append(s8.reports["raw"].s_freedman.value - s20.reports["raw"].s_freedman.value)
     assert abs(float(np.mean(diffs))) < 0.005
 
 
@@ -274,19 +275,19 @@ def test_single_value_sweep_equals_run_scenario():
     swept = run_sweep(spec)
     direct = run_scenario(dataclasses.replace(
         SMALL, emission=dataclasses.replace(SMALL.emission, mean_rate=4.0e4)))
-    assert len(swept.rows) == 1
-    assert swept.rows[0].report.to_dict() == direct.to_dict()
+    assert len(swept) == 1
+    assert swept[0].to_dict() == direct.to_dict()
 
 
 def test_sweep_accidental_share_grows_with_rate():
     base = dataclasses.replace(SMALL, emission=EmissionConfig(mean_rate=1.0e3, duration=0.4),
                                seed=2)
     spec = SweepSpec(parameter="mean_rate", values=(1.0e3, 1.0e4, 1.0e5), fixed=base)
-    result = run_sweep(spec)
+    reports = run_sweep(spec)
     ratios = []
     tallies = []
-    for row in result.rows:
-        cfg = row.report.configurations
+    for report in reports:
+        cfg = report.configurations
         acc_product = sum(cfg[k].acc_product for k in CONFIG_KEYS)
         true_pairs = sum(cfg[k].true_pairs for k in CONFIG_KEYS)
         tallies.append(sum(cfg[k].accidental_pairs for k in CONFIG_KEYS))
@@ -298,7 +299,7 @@ def test_sweep_accidental_share_grows_with_rate():
 
 def test_sweep_csv_shape():
     spec = SweepSpec(parameter="mean_rate", values=(2.0e4, 4.0e4), fixed=SMALL)
-    text = run_sweep(spec).to_csv_text()
+    text = sweep_csv_text(spec, run_sweep(spec))
     lines = text.strip().splitlines()
     assert lines[0].startswith("value,x,y,z,Z,")
     assert len(lines) == 3
@@ -443,9 +444,9 @@ def test_reanalyze_zero_accidentals_leaves_statistics_unchanged(tmp_path):
     path.write_text(json.dumps({"x": 5.0, "y": 3.0, "z": 6.0, "Z": 16.0,
                                 "acc_x": 0.0, "acc_y": 0.0, "acc_z": 0.0, "acc_Z": 0.0}))
     result = reanalyze_counts(path)
-    assert result.corrected is not None
-    raw = {s.name: s.value for s in result.raw.statistics()}
-    corrected = {s.name: s.value for s in result.corrected.statistics()}
+    assert "corrected" in result.reports
+    raw = {s.name: s.value for s in result.reports["raw"].statistics()}
+    corrected = {s.name: s.value for s in result.reports["corrected"].statistics()}
     assert raw == corrected
 
 
@@ -453,7 +454,7 @@ def test_reanalyze_without_accidentals_gives_raw_only(tmp_path):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps({"x": 5.0, "y": 3.0, "z": 6.0, "Z": 16.0}))
     result = reanalyze_counts(path)
-    assert result.corrected is None
+    assert "corrected" not in result.reports
     assert "corrected" not in result.to_dict()["reports"]
 
 
@@ -467,8 +468,8 @@ def test_reanalyze_1_2_4_background_raises_all_statistics(tmp_path):
     }))
     result = reanalyze_counts(path)
     for name in ("s_std", "s_chsh", "s_freedman"):
-        raw = {s.name: s.value for s in result.raw.statistics()}[name]
-        corrected = {s.name: s.value for s in result.corrected.statistics()}[name]
+        raw = {s.name: s.value for s in result.reports["raw"].statistics()}[name]
+        corrected = {s.name: s.value for s in result.reports["corrected"].statistics()}[name]
         assert corrected > raw
 
 

@@ -36,3 +36,13 @@ def test_rate_sweep_writes_its_table(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["value", "x"]
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0e4, 1.0e5]
+
+
+def test_rate_sweep_prints_undefined_without_true_pairs(tmp_path):
+    # 0.01 expected emissions per cell: no true pair, and every statistic undefined
+    out = tmp_path / "sweep.csv"
+    proc = _run("rate_sweep.py", "--rates", "10", "--duration", "0.001",
+                "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[1].split()
+    assert row == ["10", "undefined", "undefined", "undefined", "undefined"]
