@@ -32,6 +32,8 @@ def main() -> None:
                         help="curve points spanning [0, pi/2]")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.points < 2:
+        parser.error(f"--points must be at least 2, got {args.points}")
 
     step = (math.pi / 2.0) / (args.points - 1)
     angles = [k * step for k in range(args.points)]

@@ -30,8 +30,8 @@ LIMITS: dict[str, float] = {
     "s_freedman": 0.25,
 }
 
-_COUNT_FIELDS = ("x", "y", "z", "Z")
-_ACC_FIELDS = ("acc_x", "acc_y", "acc_z", "acc_Z")
+CONFIG_KEYS = ("x", "y", "z", "Z")
+_ACC_FIELDS = tuple(f"acc_{k}" for k in CONFIG_KEYS)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class RunCounts:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
-        require_numbers(self, *_COUNT_FIELDS,
+        require_numbers(self, *CONFIG_KEYS,
                         *(name for name in _ACC_FIELDS if getattr(self, name) is not None))
         require_numbers(self, "duration", ge=0.0)
 
@@ -66,11 +66,11 @@ class RunCounts:
         return all(getattr(self, name) is not None for name in _ACC_FIELDS)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in (*_COUNT_FIELDS, *_ACC_FIELDS, "duration")}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunCounts":
-        check_keys("counts", data, (f.name for f in dataclasses.fields(cls)), _COUNT_FIELDS)
+        check_keys("counts", data, (f.name for f in dataclasses.fields(cls)), CONFIG_KEYS)
         return cls(**data)
 
 
@@ -84,8 +84,7 @@ class StatResult:
     violated: bool | None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "limit": self.limit, "violated": self.violated}
+        return dataclasses.asdict(self)
 
 
 def _stat(name: str, numerator: float, denominator: float) -> StatResult:
@@ -130,14 +129,8 @@ def subtract_accidentals(counts: RunCounts) -> RunCounts:
     if not counts.has_accidentals:
         missing = [n for n in _ACC_FIELDS if getattr(counts, n) is None]
         raise ValueError(f"cannot subtract accidentals, missing: {', '.join(missing)}")
-    return dataclasses.replace(
-        counts,
-        x=counts.x - counts.acc_x,
-        y=counts.y - counts.acc_y,
-        z=counts.z - counts.acc_z,
-        Z=counts.Z - counts.acc_Z,
-        acc_x=None, acc_y=None, acc_z=None, acc_Z=None,
-    )
+    differences = {k: getattr(counts, k) - getattr(counts, f"acc_{k}") for k in CONFIG_KEYS}
+    return dataclasses.replace(counts, **differences, **dict.fromkeys(_ACC_FIELDS))
 
 
 def _two_point_visibility(x: float, y: float) -> float | None:
@@ -155,7 +148,7 @@ def compute_bell_statistics(counts: RunCounts, variant: str = "raw") -> BellRepo
     (x - y) / (x + y) is reported for reference.
     """
     # in floats, where sums of JSON ints near the float limit overflow to inf
-    x, y, z, Z = (float(getattr(counts, name)) for name in _COUNT_FIELDS)
+    x, y, z, Z = (float(getattr(counts, name)) for name in CONFIG_KEYS)
     return BellReport(
         variant=variant,
         s_std=_stat("s_std", 4.0 * (x - y), x + y),
@@ -181,7 +174,5 @@ def compute_visibility_statistic(curve: Sequence[tuple[float, float]]) -> tuple[
         check_number(f"curve rate {i}", rate, ge=0.0)
     rates = [float(r) for _, r in curve]
     hi, lo = max(rates), min(rates)
-    if hi + lo == 0.0:
-        return 0.0, StatResult(name="s_vis", value=None, limit=LIMITS["s_vis"], violated=None)
-    visibility = (hi - lo) / (hi + lo)
+    visibility = (hi - lo) / (hi + lo) if hi > lo else 0.0
     return visibility, _stat("s_vis", hi + lo, hi - lo)

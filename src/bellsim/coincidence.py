@@ -9,9 +9,10 @@ every pairing in range, the way a time-to-amplitude converter records them.
 Every consumer gates a pair the same way: on the difference b - a itself,
 lo <= b - a <= hi, never on b >= a + lo, which rounds differently for
 non-integer bounds. _pair_ranges finds, for each A click, the range of B
-indices that pass this gate: one stable merge of the sorted keys a + bound
-with the sorted B clicks gives a first guess in linear time, which is then
-corrected with the subtraction.
+indices that pass this gate. Both ends are searched in one direction,
+since b - a > hi is b - a >= nextafter(hi): one stable merge of the sorted
+keys a + bound with the sorted B clicks gives a first guess in linear
+time, which is then corrected with the subtraction.
 
 A simulated cell runs this gate once, in cell_pairs, and every consumer
 reads the one CellPairs it returns: the count, the delayed estimate, the
@@ -105,7 +106,6 @@ class CoincidenceSpectrum:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total_pairs_considered: int
 
     def __post_init__(self) -> None:
         if self.bin_edges.size != self.counts.size + 1:
@@ -113,17 +113,20 @@ class CoincidenceSpectrum:
         if np.any(self.counts < 0):
             raise ValueError("spectrum counts must be nonnegative")
 
+    @property
+    def total_pairs_considered(self) -> int:
+        """The number of pairings histogrammed: the sum of the bins."""
+        return int(self.counts.sum())
+
     def __add__(self, other: CoincidenceSpectrum) -> CoincidenceSpectrum:
         """The spectrum of both sets of pairings; other must have the same bin edges."""
-        return CoincidenceSpectrum(
-            bin_edges=self.bin_edges, counts=self.counts + other.counts,
-            total_pairs_considered=self.total_pairs_considered + other.total_pairs_considered)
+        return CoincidenceSpectrum(bin_edges=self.bin_edges, counts=self.counts + other.counts)
 
     def to_dict(self) -> dict:
         return {
             "bin_edges_ns": [float(e) for e in self.bin_edges],
             "counts": [int(c) for c in self.counts],
-            "total_pairs_considered": int(self.total_pairs_considered),
+            "total_pairs_considered": self.total_pairs_considered,
         }
 
 
@@ -141,34 +144,27 @@ def _as_sorted_array(times, name: str) -> np.ndarray:
 _NEIGHBOURS = np.array([[0], [1]])
 
 
-def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float,
-                               side: str = "left") -> np.ndarray:
-    """For each a, np.searchsorted(b - a, bound, side), with b - a computed per element.
+def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float) -> np.ndarray:
+    """For each a, the first j with b[j] - a >= bound, b - a computed per element.
 
-    Both a and b must be ascending. side "left" gives the first j with
-    b[j] - a >= bound, "right" the first with b[j] - a > bound. The
-    difference is monotone in b[j], so the passing indices form a suffix.
-    The first guess is searchsorted(b, a + bound, side), taken from one
-    stable merge: fl(a + bound) is ascending too, and a key's place in the
-    merged order, less its rank among the keys, counts the b before it.
-    Keys go first for "left", so they precede equal b, and after b for
-    "right". It is only a guess, because fl(a + bound) - a can differ from
-    bound; the guess is then moved one distinct value of b at a time until
-    the subtraction agrees on both sides of it.
+    Both a and b must be ascending. The difference is monotone in b[j], so
+    the passing indices form a suffix. The gate searches in this one
+    direction: b - a > bound is b - a >= nextafter(bound, inf). The first
+    guess is searchsorted(b, a + bound), taken from one stable merge:
+    fl(a + bound) is ascending too, and a key's place in the merged order,
+    less its rank among the keys, counts the b before it. Keys go first, so
+    they precede equal b. It is only a guess, because fl(a + bound) - a can
+    differ from bound; the guess is then moved one distinct value of b at a
+    time until the subtraction agrees on both sides of it.
     """
     keys = a + bound
-    if side == "right":
-        j = (np.concatenate((b, keys)).argsort(kind="stable") >= b.size).nonzero()[0]
-        passes = np.greater
-    else:
-        j = (np.concatenate((keys, b)).argsort(kind="stable") < keys.size).nonzero()[0]
-        passes = np.greater_equal
+    j = (np.concatenate((keys, b)).argsort(kind="stable") < keys.size).nonzero()[0]
     j -= np.arange(keys.size)
     # padded[j] is b[j - 1] and padded[j + 1] is b[j]; -inf never passes and
     # +inf always does, so every guess j has both neighbours
     padded = np.concatenate(([-np.inf], b, [np.inf]))
     while True:
-        below_passes, at_passes = passes(padded[j + _NEIGHBOURS] - a, bound)
+        below_passes, at_passes = padded[j + _NEIGHBOURS] - a >= bound
         if below_passes.any():
             k = below_passes.nonzero()[0]
             j[k] = np.searchsorted(padded, padded[j[k]], side="left") - 1
@@ -181,9 +177,8 @@ def searchsorted_by_difference(b: np.ndarray, a: np.ndarray, bound: float,
 
 def _pair_ranges(a: np.ndarray, b_shifted: np.ndarray, lo: float, hi: float):
     """For each A click, the index range [j0, j1) of B clicks with lo <= b - a <= hi."""
-    j0 = searchsorted_by_difference(b_shifted, a, lo, side="left")
-    j1 = searchsorted_by_difference(b_shifted, a, hi, side="right")
-    return j0, j1
+    return (searchsorted_by_difference(b_shifted, a, lo),
+            searchsorted_by_difference(b_shifted, a, math.nextafter(hi, math.inf)))
 
 
 # the 2x2 max-plus identity; -2**40 stands in for minus infinity, far
@@ -367,9 +362,7 @@ def build_spectrum(pairs: CellPairs) -> CoincidenceSpectrum:
     # differences outside the edges fall in no bin, so the counts sum to
     # the number of pairings in range
     counts, _ = np.histogram(pairs.deltas, bins=pairs.edges)
-    counts = counts.astype(np.int64)
-    return CoincidenceSpectrum(bin_edges=pairs.edges, counts=counts,
-                               total_pairs_considered=int(counts.sum()))
+    return CoincidenceSpectrum(bin_edges=pairs.edges, counts=counts.astype(np.int64))
 
 
 def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: float) -> float:

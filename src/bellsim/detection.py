@@ -149,7 +149,7 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     local_starts = np.cumsum(lengths) - lengths
     members = np.arange(lengths.sum()) + np.repeat(starts - local_starts, lengths)
     member_times = times[members]
-    nxt = searchsorted_by_difference(member_times, member_times, dead_time, side="left")
+    nxt = searchsorted_by_difference(member_times, member_times, dead_time)
     sink = members.size  # jumps that leave the run end here
     jump = np.concatenate((np.where(nxt < np.repeat(local_starts + lengths, lengths), nxt, sink),
                            [sink]))

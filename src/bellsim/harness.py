@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from bellsim.bellstats import (
+    CONFIG_KEYS,
     BellReport,
     RunCounts,
     compute_bell_statistics,
@@ -73,8 +74,6 @@ from bellsim.detection import (
 from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
 from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
                                 parse_json, require_numbers)
-
-CONFIG_KEYS = ("x", "y", "z", "Z")
 
 # report variant -> (ConfigurationResult count field, accidental field or None, BellReport label)
 VARIANTS = {
@@ -408,8 +407,7 @@ def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> Scenar
 
 
 _SWEEP_COLUMNS = (
-    "value", "x", "y", "z", "Z",
-    "acc_x_product", "acc_y_product", "acc_z_product", "acc_Z_product",
+    "value", *CONFIG_KEYS, *(f"acc_{k}_product" for k in CONFIG_KEYS),
     "s_std_raw", "s_chsh_raw", "s_freedman_raw",
     "s_std_corrected", "s_chsh_corrected", "s_freedman_corrected",
     "visibility_raw", "true_pairs", "accidental_pairs", "accidental_true_ratio",

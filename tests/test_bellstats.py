@@ -201,6 +201,13 @@ def test_visibility_flat_curve_undefined_statistic():
     assert s_vis.violated is None
 
 
+def test_visibility_all_zero_curve_undefined_statistic():
+    v, s_vis = compute_visibility_statistic([(0.0, 0.0), (1.0, 0.0)])
+    assert v == 0.0
+    assert s_vis.value is None
+    assert s_vis.violated is None
+
+
 def test_visibility_of_classical_curve_is_half():
     # R(phi) proportional to 1/4 + cos(2 phi)/8, extremes 3/8 and 1/8
     angles = np.linspace(0.0, math.pi / 2.0, 9)

@@ -164,6 +164,33 @@ def test_missing_file_is_json_error(capsys):
     assert "/nonexistent/scenario.json" in error["message"]
 
 
+def test_missing_file_through_the_module_entry_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "bellsim.cli", "simulate",
+                           str(tmp_path / "missing.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"]["type"] == "file_not_found"
+
+
+@pytest.mark.parametrize("command, name, text, words", [
+    ("simulate", "scenario.json", '{"window": {"bin_width": 1e-4}}', "over 1000000 bins"),
+    ("stats", "counts.csv", "", "empty file"),
+    ("stats", "counts.csv", "x,y,z,Z\n1,2,3,4,5\n", "more cells than the header"),
+], ids=["spectrum-bins", "empty-csv", "long-csv-row"])
+def test_refused_input_is_one_json_line(tmp_path, capsys, command, name, text, words):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert words in json.loads(captured.err)["error"]["message"]
+
+
 def test_malformed_counts_is_json_error(tmp_path, capsys):
     path = tmp_path / "counts.json"
     path.write_text('{"x": 1, "y": 2}')  # missing z and Z

@@ -278,13 +278,29 @@ def test_each_cell_gates_its_pairs_once(monkeypatch):
 @example(a=[3], b=[], base=0.0, bound=-0.7, side="left")
 @example(a=[0], b=[3], base=0.0, bound=0.3, side="left")
 @example(a=[0], b=[3], base=0.0, bound=0.3, side="right")
+# fl(a + bound) - a != bound: b equals fl(a + bound), but b - a lies on the
+# other side of the bound
+@example(a=[0], b=[3], base=68176891.7, bound=0.3, side="right")
+@example(a=[0], b=[17], base=68176891.7, bound=1.7, side="right")
 def test_gate_search_equals_a_search_of_each_difference(a, b, base, bound, side):
     # clicks on a 0.1 ns grid: duplicates, and differences that tie with the
     # bound or round to either side of it, fl(a + bound) - a != bound
     a = np.sort(np.array(a, dtype=float)) / 10.0 + base
     b = np.sort(np.array(b, dtype=float)) / 10.0 + base
     expected = [np.searchsorted(b - x, bound, side=side) for x in a]
-    assert searchsorted_by_difference(b, a, bound, side).tolist() == expected
+    query = bound if side == "left" else np.nextafter(bound, np.inf)  # > bound is >= query
+    assert searchsorted_by_difference(b, a, query).tolist() == expected
+
+
+@pytest.mark.parametrize("a, hi, inside", [
+    (0.0, 0.3, 1),  # b - a == hi exactly
+    (68176891.7, 0.3, 1),  # b - a is 0.29999999701976776
+    (68176891.7, 1.7, 0),  # b - a is 1.7000000029802322
+])
+def test_pair_range_upper_end_gates_on_the_difference(a, hi, inside):
+    # b is fl(a + hi) in each case, so only the subtraction tells them apart
+    j0, j1 = bellsim.coincidence._pair_ranges(np.array([a]), np.array([a + hi]), hi - 5.0, hi)
+    assert (j1 - j0).tolist() == [inside]
 
 
 @pytest.mark.parametrize("a, b", [([0.0, math.nan], [math.nan, 1.0]),

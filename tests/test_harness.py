@@ -270,6 +270,14 @@ def test_scenario_validation():
         SweepSpec(parameter="mean_rate", values=(True,), fixed=SMALL)
 
 
+def test_report_writes_an_explicit_spectrum_range_as_a_list_of_floats():
+    s = dataclasses.replace(SMALL, spectrum_range=(-60, 80))
+    scenario = run_scenario(s).to_dict()["scenario"]
+    assert scenario["spectrum_range"] == [-60.0, 80.0]
+    assert all(type(v) is float for v in scenario["spectrum_range"])
+    assert '"spectrum_range": [-60.0, 80.0]' in json.dumps(scenario)
+
+
 def test_single_value_sweep_equals_run_scenario():
     spec = SweepSpec(parameter="mean_rate", values=(4.0e4,), fixed=SMALL)
     swept = run_sweep(spec)

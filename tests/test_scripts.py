@@ -28,6 +28,14 @@ def test_script_exits_zero(tmp_path, script, args):
     assert proc.stdout
 
 
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_window_visibility_refuses_fewer_than_two_points(tmp_path, points):
+    proc = _run("window_visibility.py", "--widths", "20", "--points", points, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_rate_sweep_writes_its_table(tmp_path):
     out = tmp_path / "sweep.csv"
     proc = _run("rate_sweep.py", "--rates", "1e4", "1e5", "--duration", "0.01",
