@@ -27,12 +27,15 @@ def main() -> None:
     args = parser.parse_args()
 
     base = aspect_like()
-    fixed = dataclasses.replace(
-        base,
-        emission=dataclasses.replace(base.emission, duration=args.duration),
-        seed=args.seed,
-    )
-    spec = SweepSpec(parameter="mean_rate", values=tuple(args.rates), fixed=fixed)
+    try:  # the configs refuse a bad rate, duration or seed before any point runs
+        fixed = dataclasses.replace(
+            base,
+            emission=dataclasses.replace(base.emission, duration=args.duration),
+            seed=args.seed,
+        )
+        spec = SweepSpec(parameter="mean_rate", values=tuple(args.rates), fixed=fixed)
+    except ValueError as exc:
+        parser.error(str(exc))
     reports = run_sweep(spec)
     with open(args.out, "w", newline="") as fh:
         fh.write(sweep_csv_text(spec, reports))

@@ -16,12 +16,10 @@ from bellsim.harness import coincidence_curve
 from bellsim.presets import aspect_like, wave_like
 
 
-def curve_visibility(base, width: float, seed: int, angles) -> float:
+def with_width(base, width: float, seed: int):
     window = dataclasses.replace(base.window,
                                  window_hi=base.window.window_lo + width)
-    scenario = dataclasses.replace(base, window=window, seed=seed)
-    v, _ = compute_visibility_statistic(coincidence_curve(scenario, angles))
-    return v
+    return dataclasses.replace(base, window=window, seed=seed)
 
 
 def main() -> None:
@@ -38,10 +36,15 @@ def main() -> None:
     step = (math.pi / 2.0) / (args.points - 1)
     angles = [k * step for k in range(args.points)]
     models = {"particle": aspect_like(), "wave": wave_like()}
+    try:  # the configs refuse a bad width or seed before any curve runs
+        rows = [(width, [with_width(base, width, args.seed) for base in models.values()])
+                for width in args.widths]
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"{'window ns':>10} " + " ".join(f"{name:>10}" for name in models))
-    for width in args.widths:
-        row = [curve_visibility(base, width, args.seed, angles)
-               for base in models.values()]
+    for width, scenarios in rows:
+        row = [compute_visibility_statistic(coincidence_curve(s, angles))[0]
+               for s in scenarios]
         print(f"{width:10.1f} " + " ".join(f"{v:10.4f}" for v in row))
 
 

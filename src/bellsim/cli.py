@@ -15,7 +15,16 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
+
+# numpy's bundled OpenBLAS starts a thread per core when numpy loads, about
+# 70 ms of each CLI process's start-up on a 2-core machine, and bellsim
+# makes no BLAS call. OpenBLAS reads the count only then, so it is set
+# before the first numpy import. A value the user set is kept, and, as with
+# the allocator policy below, importing the library leaves BLAS alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from bellsim.harness import (CONFIG_KEYS, reanalyze_counts, run_configuration, run_scenario,
                              run_sweep, sweep_csv_text)

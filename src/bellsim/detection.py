@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bellsim.coincidence import _as_sorted_array, searchsorted_by_difference
+from bellsim.coincidence import searchsorted_by_difference
 from bellsim.source import EmissionStream
 from bellsim.validation import check_bool, check_choice, check_number, require_numbers
 
@@ -163,13 +163,6 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
         jump = jump[jump]
     keep[members[kept]] = True
     return keep
-
-
-def apply_dead_time(times, dead_time: float) -> np.ndarray:
-    """Filter a sorted click-time array so surviving gaps are >= dead_time."""
-    check_number("dead_time", dead_time, ge=0.0)
-    t = _as_sorted_array(times, "click times")
-    return t[_dead_time_keep_mask(t, dead_time).nonzero()[0]]
 
 
 def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSetting,

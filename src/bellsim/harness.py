@@ -240,11 +240,14 @@ class ScenarioReport:
 
 
 def derive_rngs(seed: int, config_index: int, repeat_index: int):
-    """The documented seed policy: one SeedSequence per cell, three children."""
-    root = np.random.SeedSequence([seed, config_index, repeat_index])
-    em, det_a, det_b = root.spawn(3)
-    return (np.random.default_rng(em), np.random.default_rng(det_a),
-            np.random.default_rng(det_b))
+    """The documented seed policy: one SeedSequence per cell, three children.
+
+    Each child is built as SeedSequence.spawn(3) would build it, from the
+    cell's entropy and spawn key (k,), without making the parent.
+    """
+    entropy = [seed, config_index, repeat_index]
+    return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+                 for k in range(3))
 
 
 def _first_clicks(ids: np.ndarray, size: int) -> np.ndarray:

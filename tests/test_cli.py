@@ -439,3 +439,63 @@ def test_allocator_policy_is_skipped_without_mallopt(monkeypatch, capsys, cdll):
     assert cli._keep_freed_memory() is None
     assert main(["stats", "--bundled"]) == 0
     assert json.loads(capsys.readouterr().out)["counts"]["x"] == 86.8
+
+
+def _fresh_python(code: str, blas_threads: str | None = None) -> str:
+    """Run code in a new interpreter on this tree; its stdout, stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    # the CLI sets numpy's BLAS threads after `import bellsim` and before numpy loads
+    assert _fresh_python("import sys, bellsim; print('numpy' in sys.modules)") == "False"
+
+
+_STAR_IMPORT = """
+import importlib, bellsim
+from bellsim import *
+modules = [importlib.import_module(f"bellsim.{m}") for m in
+           ("bellstats", "coincidence", "detection", "harness", "presets", "source")]
+for name in bellsim.__all__:
+    owners = [m for m in modules if name in vars(m)]
+    assert owners, name
+    assert all(vars(m)[name] is globals()[name] for m in owners), name
+    assert getattr(bellsim, name) is globals()[name], name
+assert set(bellsim.__all__) <= set(dir(bellsim))
+print(len(bellsim.__all__))
+"""
+
+
+def test_star_import_binds_every_exported_name_to_its_submodule_object():
+    assert int(_fresh_python(_STAR_IMPORT)) == len(bellsim.__all__) > 0
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    code = """
+import bellsim
+try:
+    bellsim.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_python(code) == "module 'bellsim' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize("preset, first, expected", [
+    (None, "", "1"),
+    ("2", "", "2"),
+    (None, "import numpy", "None"),
+], ids=["unset", "user-set", "numpy-loaded-first"])
+def test_cli_import_loads_numpy_with_one_blas_thread(preset, first, expected):
+    # OpenBLAS reads the variable only when numpy loads, so once numpy is
+    # loaded the CLI leaves it alone
+    code = f"{first}\nimport os, bellsim.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_python(code, preset) == expected

@@ -83,6 +83,17 @@ def test_truth_tally_and_raw_count_match_documented_seed_policy():
         assert int(cfg.spectrum.counts[i0:i1].sum()) == all_pairs
 
 
+@pytest.mark.parametrize("seed, config_index, repeat", [
+    (0, 0, 0), (0, 3, 0), (7, 1, 2), (2**32 + 5, 4, 9), (123456789, 11, 1000)])
+def test_derive_rngs_gives_the_spawned_children(seed, config_index, repeat):
+    # the seed policy as documented: spawn three children of the cell's sequence
+    spawned = np.random.SeedSequence([seed, config_index, repeat]).spawn(3)
+    derived = derive_rngs(seed, config_index, repeat)
+    assert len(derived) == 3
+    for rng, child in zip(derived, spawned):
+        assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+
 def _reference_window_inclusion(clicks_a, clicks_b, w):
     first_a, first_b = {}, {}
     for t, e in zip(clicks_a.times, clicks_a.emission_index):

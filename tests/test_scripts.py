@@ -1,4 +1,5 @@
-"""The experiment scripts run end to end on small inputs and exit 0."""
+"""The experiment scripts run end to end on small inputs and exit 0, or refuse
+bad input with exit 2 and one usage error, as the CLI does."""
 
 import os
 import subprocess
@@ -19,7 +20,6 @@ def _run(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("script, args", [
-    ("reanalyze_example.py", ()),
     ("window_visibility.py", ("--widths", "20", "--points", "3")),
 ])
 def test_script_exits_zero(tmp_path, script, args):
@@ -34,6 +34,20 @@ def test_window_visibility_refuses_fewer_than_two_points(tmp_path, points):
     assert proc.returncode == 2
     assert "--points" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("window_visibility.py", ("--widths", "0"),
+     "window_lo must be < window_hi, got [-3.0, -3.0]"),
+    ("window_visibility.py", ("--seed", "-1"), "seed must be >= 0, got -1"),
+    ("rate_sweep.py", ("--rates", "-5"), "mean_rate must be > 0.0, got -5.0"),
+], ids=["zero-width", "negative-seed", "negative-rate"])
+def test_script_refuses_a_bad_config_as_a_usage_error(tmp_path, script, args, message):
+    proc = _run(script, *args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(message)
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())  # refused before any output is written
 
 
 def test_rate_sweep_writes_its_table(tmp_path):
