@@ -36,9 +36,13 @@ def main() -> None:
         spec = SweepSpec(parameter="mean_rate", values=tuple(args.rates), fixed=fixed)
     except ValueError as exc:
         parser.error(str(exc))
-    reports = run_sweep(spec)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(sweep_csv_text(spec, reports))
+    try:  # an unwritable --out is refused before any point runs
+        out = open(args.out, "w", newline="")
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
+    with out:
+        reports = run_sweep(spec)
+        out.write(sweep_csv_text(spec, reports))
 
     columns = {"acc/true": 9, "S_F raw": 8, "S_F corr": 9, "S_F truth": 10}
     print(f"{'rate/s':>10} " + " ".join(f"{name:>{w}}" for name, w in columns.items()))

@@ -2,7 +2,14 @@
 
 Two click models are supported. The particle model draws a Malus-law
 transmission decision and an efficiency decision, then stamps the click at
-the (possibly delayed) emission time plus Gaussian jitter. The wave model
+the (possibly delayed) emission time plus Gaussian jitter. Each decision is
+the float64 comparison of a uniform draw with its probability, made with
+less arithmetic where the answer is certain: the Malus test compares with
+a float32 cos^2 and recomputes in float64 only the draws near it, an
+efficiency of 1 passes every draw without making it, and only the clicks'
+normals are scaled to jitter. Every draw keeps its full size in the stream
+(a skipped one is advanced past), so no report byte depends on these
+shortcuts. The wave model
 treats each signal as an exponentially decaying intensity envelope and
 samples the click time from the induced detection hazard, so attenuating
 the envelope both lowers the click probability and pushes the click later.
@@ -31,6 +38,9 @@ SIDES = ("A", "B")
 # the re-hit loop takes one numpy step, about 23 us on a 2-core box, per click of
 # the busiest emission: 1,000 keeps a side near 25 ms
 MAX_WAVE_HAZARD = 1_000
+# the float32 Malus pre-test's bounds; the error budget is in _malus_transmitted
+MALUS_MARGIN = 1.0e-5
+MALUS_MAX_REL = 16.0
 
 
 @dataclass(frozen=True)
@@ -165,26 +175,75 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     return keep
 
 
+def _malus_transmitted(u: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """u < cos(rel) ** 2 in float64, decided mostly from a float32 cosine.
+
+    c2 = float64(cos(float32(rel))) ** 2 settles every element with
+    |u - c2| > MALUS_MARGIN; the rest, about 1 in 50k of uniform draws, are
+    recomputed with the float64 expression itself. Error budget: in a
+    generated stream lam and the angle both lie in [0, pi), so rel lies in
+    (-pi, pi), and |d cos^2 / d rel| = |sin 2 rel| <= 1. Rounding rel to
+    float32 then moves cos^2 by at most 2^-24 * pi, about 1.9e-7, and the
+    float32 cosine adds a few ulp, about 3e-7; squaring a float32 in float64
+    is exact. The error stays under 1e-6, 10x inside the margin. A
+    hand-built stream may hold any lam, so a side with some |rel| over
+    MALUS_MAX_REL (rounding alone up to 2^-24 * 16, about 1e-6) is decided
+    in float64 throughout.
+    """
+    rel32 = rel.astype(np.float32)
+    if rel32.size and not np.abs(rel32).max() <= MALUS_MAX_REL:
+        return u < np.cos(rel) ** 2
+    diff = np.cos(rel32).astype(np.float64)
+    np.square(diff, out=diff)
+    np.subtract(u, diff, out=diff)  # u - c2 < 0 exactly when u < c2
+    transmitted = diff < 0.0
+    near = (np.abs(diff, out=diff) <= MALUS_MARGIN).nonzero()[0]
+    transmitted[near] = u[near] < np.cos(rel[near]) ** 2
+    return transmitted
+
+
+def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Leave rng where rng.random(n) would, without making the n doubles.
+
+    PCG64's random() takes one 64-bit output per double, so advance(n) lands
+    on the same state, unless a buffered 32-bit half is pending: advance
+    drops it and random() keeps it. Other generators draw.
+    """
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.PCG64) and not bit_generator.state["has_uint32"]:
+        bit_generator.advance(n)
+    else:
+        rng.random(n)
+
+
 def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSetting,
                          config: DetectorConfig, rng: np.random.Generator):
+    # every draw keeps its size in the stream whatever decides it: n Malus
+    # uniforms behind a polariser, then n efficiency uniforms, then n normals
     n = stream.size
+    passed = None  # every emission, until a draw can reject some
     if setting.present:
         rel = stream.lam - setting.angle
-        transmitted = rng.random(n) < np.cos(rel) ** 2
+        passed = _malus_transmitted(rng.random(n), rel)
         eta = config.eta0
         if config.efficiency_fn == "cosine_modulated":
             eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
         eta = eta * config.enhancement_factor
-        ids = (transmitted & (rng.random(n) < eta)).nonzero()[0]
     else:
-        ids = (rng.random(n) < config.eta0).nonzero()[0]
-    # drawn for every emission, so that each draw's size follows the seed policy
-    jitter = rng.normal(0.0, config.jitter_sigma, n)
-    # summed per click in the order ((t0 + insertion delay) + cascade delay) + jitter
+        eta = config.eta0
+    if np.ndim(eta) == 0 and eta >= 1.0:
+        _skip_uniforms(rng, n)  # every uniform in [0, 1) would pass
+    else:
+        efficient = rng.random(n) < eta
+        passed = efficient if passed is None else passed & efficient
+    ids = np.arange(n) if passed is None else passed.nonzero()[0]
+    # normal(0, sigma) is 0 + sigma * z, so scaling only the clicks' z moves no
+    # time; summed per click as ((t0 + insertion delay) + cascade delay) + jitter
+    z = rng.standard_normal(n)
     times = stream.t0[ids] + setting.effective_delay
     if side == "B":
         times += stream.b_delay[ids]
-    times += jitter[ids]
+    times += config.jitter_sigma * z[ids]
     return times, ids.astype(np.int64, copy=False)
 
 

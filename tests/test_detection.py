@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from bellsim.coincidence import _as_sorted_array
 from bellsim.detection import (
     ABSENT,
+    EFFICIENCY_FNS,
+    MALUS_MARGIN,
+    MALUS_MAX_REL,
     MAX_WAVE_HAZARD,
     DetectorConfig,
     PolariserSetting,
     _dead_time_keep_mask,
+    _malus_transmitted,
+    _particle_candidates,
+    _skip_uniforms,
     _wave_candidates,
     simulate_side,
 )
@@ -127,6 +133,123 @@ def test_cosine_modulated_acceptance_is_three_eighths():
     fraction = clicks.size / stream.size
     sigma = math.sqrt(COS4_FRACTION * (1.0 - COS4_FRACTION) / stream.size)
     assert abs(fraction - COS4_FRACTION) < 3.0 * sigma
+
+
+def _reference_particle_candidates(stream, side, setting, config, rng):
+    """The particle model as first written: every draw made and compared in float64."""
+    n = stream.size
+    if setting.present:
+        rel = stream.lam - setting.angle
+        transmitted = rng.random(n) < np.cos(rel) ** 2
+        eta = config.eta0
+        if config.efficiency_fn == "cosine_modulated":
+            eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
+        eta = eta * config.enhancement_factor
+        ids = (transmitted & (rng.random(n) < eta)).nonzero()[0]
+    else:
+        ids = (rng.random(n) < config.eta0).nonzero()[0]
+    jitter = rng.normal(0.0, config.jitter_sigma, n)
+    times = stream.t0[ids] + setting.effective_delay
+    if side == "B":
+        times += stream.b_delay[ids]
+    times += jitter[ids]
+    return times, ids.astype(np.int64, copy=False)
+
+
+def _pending_half_rng(seed):
+    """A PCG64 generator holding a buffered 32-bit half, which advance() would drop."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, dtype=np.int32)
+    return rng
+
+
+GENERATORS = {
+    "pcg64": np.random.default_rng,
+    "pcg64-pending-half": _pending_half_rng,
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    # Philox's advance counts blocks of four outputs, not doubles
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+}
+NEAR_ANGLES = st.one_of(st.floats(-1.0e-6, 1.0e-6), st.floats(math.pi - 1.0e-6, math.pi + 1.0e-6),
+                        st.floats(0.0, math.pi))
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 2000),
+       lam=st.sampled_from(["uniform", 0.0, math.pi / 4, math.pi / 2, math.pi - 1.0e-9]),
+       angle=st.one_of(st.none(), NEAR_ANGLES),
+       efficiency=st.sampled_from([(1.0, 1.0), (1, 1.0), (0.5, 1.0), (0.5, 2.0)]),
+       efficiency_fn=st.sampled_from(EFFICIENCY_FNS),
+       jitter_sigma=st.sampled_from([0.0, 1.3]),
+       side=st.sampled_from(["A", "B"]),
+       generator=st.sampled_from(sorted(GENERATORS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_particle_candidates_match_the_float64_reference(n, lam, angle, efficiency, efficiency_fn,
+                                                         jitter_sigma, side, generator, seed):
+    source = np.random.default_rng(seed)
+    stream = EmissionStream(
+        t0=np.cumsum(source.exponential(5.0e3, n)),
+        lam=source.uniform(0.0, np.pi, n) if lam == "uniform" else np.full(n, lam),
+        b_delay=source.exponential(5.0, n))
+    setting = ABSENT if angle is None else PolariserSetting(angle, insertion_delay=2.5)
+    eta0, enhancement = efficiency
+    config = DetectorConfig(eta0=eta0, enhancement_factor=enhancement, efficiency_fn=efficiency_fn,
+                            modulation_depth=0.3, jitter_sigma=jitter_sigma)
+    got_rng, want_rng = GENERATORS[generator](seed), GENERATORS[generator](seed)
+    got = _particle_candidates(stream, side, setting, config, got_rng)
+    want = _reference_particle_candidates(stream, side, setting, config, want_rng)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def _draws_around_cos2(rel):
+    """u exactly at cos(rel)**2, one ulp either side, and 1e-7 to 2e-5 away."""
+    c2 = np.cos(rel) ** 2
+    offsets = np.logspace(-7.0, math.log10(2.0e-5), 9)
+    u = [c2, np.nextafter(c2, np.inf), np.nextafter(c2, -np.inf)]
+    u += [c2 + sign * d for d in offsets for sign in (1.0, -1.0)]
+    return np.concatenate(u), np.tile(rel, len(u))
+
+
+def test_malus_pretest_decides_like_float64_at_the_boundary():
+    eps = 1.0e-9
+    rel = np.concatenate([[0.0, math.pi / 4, math.pi / 2, math.pi - eps, np.nextafter(math.pi, 0.0)],
+                          np.linspace(0.0, math.pi, 257)[1:-1]])
+    u, rel = _draws_around_cos2(np.concatenate([rel, -rel]))
+    want = u < np.cos(rel) ** 2
+    assert np.array_equal(_malus_transmitted(u, rel), want)
+    # the float32 comparison alone decides some of these wrongly, so the
+    # float64 recomputation within the margin ran and set them right
+    c2 = np.cos(rel.astype(np.float32)).astype(np.float64) ** 2
+    assert ((u < c2) != want).any()
+    assert (np.abs(u - c2) <= MALUS_MARGIN).any()
+
+
+def test_malus_pretest_leaves_large_angle_differences_to_float64():
+    # a hand-built stream may hold any lam; far out, float32 rounding of rel
+    # alone moves cos^2 by more than the margin
+    rel = 1.0e6 + np.linspace(0.0, math.pi, 101)
+    assert np.abs(rel).min() > MALUS_MAX_REL
+    c2 = np.cos(rel) ** 2
+    u = np.concatenate([c2 + 1.0e-3, c2 - 1.0e-3])
+    rel = np.tile(rel, 2)
+    want = u < np.cos(rel) ** 2
+    assert np.array_equal(_malus_transmitted(u, rel), want)
+    assert ((u < np.cos(rel.astype(np.float32)).astype(np.float64) ** 2) != want).any()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 50_000])
+def test_skipped_uniforms_leave_the_state_of_drawn_ones(n):
+    drawn, advanced = np.random.default_rng(5), np.random.default_rng(5)
+    drawn.random(n)
+    advanced.bit_generator.advance(n)
+    np.testing.assert_equal(advanced.bit_generator.state, drawn.bit_generator.state)
+    for make in GENERATORS.values():
+        drawn, skipped = make(5), make(5)
+        drawn.random(n)
+        _skip_uniforms(skipped, n)
+        np.testing.assert_equal(skipped.bit_generator.state, drawn.bit_generator.state)
 
 
 def test_wave_zero_gain_never_clicks():

@@ -60,6 +60,17 @@ def test_rate_sweep_writes_its_table(tmp_path):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0e4, 1.0e5]
 
 
+def test_rate_sweep_refuses_an_unwritable_out_before_running(tmp_path):
+    out = tmp_path / "missing" / "sweep.csv"
+    proc = _run("rate_sweep.py", "--rates", "1e4", "--duration", "0.001",
+                "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "cannot write --out" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout  # no sweep row was printed
+    assert not list(tmp_path.iterdir())
+
+
 def test_rate_sweep_prints_undefined_without_true_pairs(tmp_path):
     # 0.01 expected emissions per cell: no true pair, and every statistic undefined
     out = tmp_path / "sweep.csv"
