@@ -11,6 +11,9 @@ in which a point with no true pair or a zero denominator reads "undefined".
 import argparse
 import dataclasses
 
+# a script is a CLI process: bellsim.cli gives it one OpenBLAS thread and
+# the CLI's allocator policy, and must load before anything imports numpy
+import bellsim.cli  # noqa: F401
 from bellsim.harness import SweepSpec, run_sweep, sweep_csv_text
 from bellsim.presets import aspect_like
 

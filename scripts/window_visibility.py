@@ -11,6 +11,9 @@ import argparse
 import dataclasses
 import math
 
+# a script is a CLI process: bellsim.cli gives it one OpenBLAS thread and
+# the CLI's allocator policy, and must load before anything imports numpy
+import bellsim.cli  # noqa: F401
 from bellsim.bellstats import compute_visibility_statistic
 from bellsim.harness import coincidence_curve
 from bellsim.presets import aspect_like, wave_like

@@ -100,7 +100,7 @@ class WindowConfig:
         return self.window_hi - self.window_lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoincidenceSpectrum:
     """Histogram of B-minus-A time differences (after the channel delay)."""
 
@@ -110,7 +110,7 @@ class CoincidenceSpectrum:
     def __post_init__(self) -> None:
         if self.bin_edges.size != self.counts.size + 1:
             raise ValueError("bin_edges must have exactly one more entry than counts")
-        if np.any(self.counts < 0):
+        if (self.counts < 0).any():
             raise ValueError("spectrum counts must be nonnegative")
 
     @property
@@ -242,9 +242,9 @@ def _expand_pairs(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
             f"{total} click pairs in one cell's gated range [{lo}, {hi}] ns exceed the cap "
             f"of {MAX_PAIRS_PER_CELL}; lower the rate or the duration, or narrow the range"
         )
-    ia = np.repeat(np.arange(j0.size), counts)
+    ia = np.arange(j0.size).repeat(counts)
     # pair k of A click i is B index j0[i] + (k - first pair of i)
-    ib = np.arange(total) + np.repeat(j0 - (np.cumsum(counts) - counts), counts)
+    ib = np.arange(total) + (j0 - (counts.cumsum() - counts)).repeat(counts)
     return ia, ib.astype(np.int64, copy=False)
 
 
@@ -359,10 +359,15 @@ def estimate_accidentals_delayed(pairs: CellPairs) -> int:
 
 def build_spectrum(pairs: CellPairs) -> CoincidenceSpectrum:
     """Histogram every pairing whose difference lies in the range pairs was built with."""
-    # differences outside the edges fall in no bin, so the counts sum to
-    # the number of pairings in range
-    counts, _ = np.histogram(pairs.deltas, bins=pairs.edges)
-    return CoincidenceSpectrum(bin_edges=pairs.edges, counts=counts.astype(np.int64))
+    # np.histogram's own count for explicit edges, without its wrapper: bin
+    # i holds edges[i] <= d < edges[i + 1], and the last bin is closed.
+    # Differences outside the edges fall in no bin, so the counts sum to the
+    # number of pairings in range
+    edges, deltas = pairs.edges, np.sort(pairs.deltas)
+    cumulative = np.concatenate((deltas.searchsorted(edges[:-1], "left"),
+                                 deltas.searchsorted(edges[-1:], "right")))
+    counts = (cumulative[1:] - cumulative[:-1]).astype(np.int64, copy=False)
+    return CoincidenceSpectrum(bin_edges=edges, counts=counts)
 
 
 def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: float) -> float:

@@ -35,8 +35,8 @@ EFFICIENCY_FNS = ("constant", "cosine_modulated")
 SIDES = ("A", "B")
 # DetectorConfig refuses a multi-click wave detector over this many hazard units,
 # wave_gain * wave_decay_tau, about the clicks of one emission without dead time;
-# the re-hit loop takes one numpy step, about 23 us on a 2-core box, per click of
-# the busiest emission: 1,000 keeps a side near 25 ms
+# the re-hit loop takes one numpy step, 10 to 15 us on a 2-core box, per click of
+# the busiest emission: 1,000 keeps a side near 10 to 15 ms
 MAX_WAVE_HAZARD = 1_000
 # the float32 Malus pre-test's bounds; the error budget is in _malus_transmitted
 MALUS_MARGIN = 1.0e-5
@@ -112,7 +112,7 @@ class DetectorConfig:
                     f"{MAX_WAVE_HAZARD} for multiple detections")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClickStream:
     """Time-sorted clicks of one side, tagged with the emission they came from."""
 
@@ -263,23 +263,27 @@ def _wave_candidates(stream: EmissionStream, setting: PolariserSetting,
     total = config.wave_gain * i0 * tau
     base = stream.t0 + setting.effective_delay
 
-    # the first click is a re-hit at t = 0 with all of the hazard left
+    # the first click is a re-hit at t = 0 with all of the hazard left;
+    # standard_exponential(k) is exponential(1.0, k) without its exact
+    # scaling by 1. A step's arrays are new, not updated in place: in-place
+    # ufuncs cost more on the few-element arrays of the last re-hits
     idx, survival, budget = np.arange(n), np.ones(n), total
     all_times, all_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     while True:
-        eps = rng.exponential(1.0, idx.size)
+        eps = rng.standard_exponential(idx.size)
         hit = (eps < budget).nonzero()[0]  # a zero budget can never pass, eps > 0
         idx = idx[hit]
         if idx.size == 0:
             break
-        survival = survival[hit] - eps[hit] / total[idx]
+        hit_total = total[idx]
+        survival = survival[hit] - eps[hit] / hit_total
         offsets = -tau * np.log(survival)
         all_times.append(base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size))
         all_ids.append(idx)
         if not config.allow_multiple_detections:
             break
         survival = np.exp(-(offsets + config.dead_time) / tau)
-        budget = total[idx] * survival
+        budget = hit_total * survival
     return np.concatenate(all_times), np.concatenate(all_ids)
 
 
@@ -295,7 +299,7 @@ def simulate_side(stream: EmissionStream, side: str, setting: PolariserSetting,
         times, ids = _particle_candidates(stream, side, setting, config, rng)
     else:
         times, ids = _wave_candidates(stream, setting, config, rng)
-    order = np.argsort(times, kind="stable")
+    order = times.argsort(kind="stable")
     times = times[order]
     kept = _dead_time_keep_mask(times, config.dead_time).nonzero()[0]
     return ClickStream(times=times[kept], emission_index=ids[order[kept]])

@@ -153,7 +153,7 @@ class ScenarioConfig:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigurationResult:
     """The outcome of one cell of a polariser configuration, or of several summed with +."""
 
@@ -197,7 +197,7 @@ class ConfigurationResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioReport:
     """Full output of run_scenario; to_dict() is the JSON report shape.
 
@@ -243,11 +243,22 @@ def derive_rngs(seed: int, config_index: int, repeat_index: int):
     """The documented seed policy: one SeedSequence per cell, three children.
 
     Each child is built as SeedSequence.spawn(3) would build it, from the
-    cell's entropy and spawn key (k,), without making the parent.
+    cell's entropy and spawn key (k,), without making the parent, and
+    wrapped as default_rng wraps a SeedSequence, in a PCG64 Generator. The
+    entropy is passed as the uint32 words SeedSequence would assemble from
+    the list [seed, config_index, repeat_index]: each value little-endian,
+    [0] for a zero.
     """
-    entropy = [seed, config_index, repeat_index]
-    return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
-                 for k in range(3))
+    words = []
+    for value in (seed, config_index, repeat_index):
+        if value < 0:  # as SeedSequence does; the shifts below would never reach 0
+            raise ValueError(f"seed entropy must be >= 0, got {value}")
+        words.append(value & 0xFFFF_FFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFF_FFFF)
+    entropy = np.array(words, dtype=np.uint32)
+    children = (np.random.SeedSequence(entropy, spawn_key=(k,)) for k in range(3))
+    return tuple(np.random.Generator(np.random.PCG64(child)) for child in children)
 
 
 def _first_clicks(ids: np.ndarray, size: int) -> np.ndarray:

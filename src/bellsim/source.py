@@ -28,7 +28,7 @@ PROCESSES = ("poisson", "min_separation")
 HIDDEN_VARIABLE_MODES = ("uniform", "fixed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionStream:
     """Column-wise batch of pair emissions, sorted by emission time."""
 
@@ -106,7 +106,7 @@ def _renewal_arrivals(rng: np.random.Generator, duration_ns: float,
         gaps = rng.exponential(exp_scale, chunk)
         if hard_gap > 0.0:
             gaps += hard_gap
-        block = t_end + np.cumsum(gaps)
+        block = t_end + gaps.cumsum()
         t_end = float(block[-1])
         blocks.append(block)
     times = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]

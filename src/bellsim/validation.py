@@ -32,6 +32,15 @@ def check_number(name: str, value, *, integer: bool = False,
 
     A bound of None is not checked.
     """
+    # most values are a plain float, or a plain int that float() cannot
+    # overflow, and pass: they return here after the same comparisons, and
+    # everything else, every refusal included, takes the checks below
+    kind = type(value)
+    if (((kind is float and not integer and math.isfinite(value))
+         or (kind is int and value.bit_length() <= 1023))
+            and (ge is None or value >= ge) and (gt is None or value > gt)
+            and (le is None or value <= le)):
+        return
     if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
                          f"got {_shown(value)}")

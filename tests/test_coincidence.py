@@ -349,6 +349,36 @@ def test_empty_streams_give_zero_spectrum():
     assert spectrum.bin_edges[-1] == 67.0
 
 
+def _spectrum_of(deltas, w: WindowConfig, spectrum_range):
+    """build_spectrum over the given differences, on the edges cell_pairs builds for w."""
+    pairs = dataclasses.replace(cell_pairs([], [], w, spectrum_range), deltas=np.asarray(deltas))
+    return build_spectrum(pairs)
+
+
+def test_spectrum_counts_like_np_histogram_past_its_block_size():
+    # np.histogram sorts explicit-edge data in blocks of 65,536
+    rng = np.random.default_rng(37)
+    deltas = rng.uniform(-60.0, 70.0, 200_003)
+    spectrum = _spectrum_of(deltas, W, (-53.0, 67.0))
+    want, _ = np.histogram(deltas, bins=spectrum.bin_edges)
+    np.testing.assert_array_equal(spectrum.counts, want)
+    assert spectrum.counts.dtype == np.int64
+
+
+def test_spectrum_counts_like_np_histogram_on_and_beside_every_edge():
+    # 0.7 ns bins from -24.1: the edges are inexact, and the last is closed
+    w = WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7)
+    edges = _spectrum_of([], w, (-24.1, 15.1)).bin_edges
+    deltas = np.concatenate((edges, edges[-1:], np.nextafter(edges, -np.inf),
+                             np.nextafter(edges, np.inf)))
+    spectrum = _spectrum_of(deltas, w, (-24.1, 15.1))
+    want, _ = np.histogram(deltas, bins=edges)
+    np.testing.assert_array_equal(spectrum.counts, want)
+    assert spectrum.counts[-1] == 5  # its left edge, the last edge twice, and one ulp on each side
+    # one ulp outside the range either side falls in no bin
+    assert spectrum.total_pairs_considered == deltas.size - 2
+
+
 def test_spectrum_recovers_exponential_tail():
     # A clicks at emission times, B clicks delayed by Exp(5 ns): the log
     # spectrum decays with slope -1/5 exactly, up to Poisson noise

@@ -361,6 +361,66 @@ def test_detect_wave_scalar_multiple_clicks_respect_dead_time():
     assert np.all(np.diff(times)[same_emission] >= 4.0)
 
 
+def _reference_wave_candidates(stream, setting, config, rng):
+    """The wave model as first written: exponential(1.0, k) draws, total[idx] gathered twice."""
+    n = stream.size
+    tau = config.wave_decay_tau
+    if setting.present:
+        i0 = np.cos(stream.lam - setting.angle) ** 2
+    else:
+        i0 = np.ones(n)
+    total = config.wave_gain * i0 * tau
+    base = stream.t0 + setting.effective_delay
+
+    # the first click is a re-hit at t = 0 with all of the hazard left
+    idx, survival, budget = np.arange(n), np.ones(n), total
+    all_times, all_ids = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    while True:
+        eps = rng.exponential(1.0, idx.size)
+        hit = (eps < budget).nonzero()[0]  # a zero budget can never pass, eps > 0
+        idx = idx[hit]
+        if idx.size == 0:
+            break
+        survival = survival[hit] - eps[hit] / total[idx]
+        offsets = -tau * np.log(survival)
+        all_times.append(base[idx] + offsets + rng.normal(0.0, config.jitter_sigma, idx.size))
+        all_ids.append(idx)
+        if not config.allow_multiple_detections:
+            break
+        survival = np.exp(-(offsets + config.dead_time) / tau)
+        budget = total[idx] * survival
+    return np.concatenate(all_times), np.concatenate(all_ids)
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 300),
+       angle=st.one_of(st.none(), st.floats(0.0, math.pi)),
+       multiple=st.booleans(),
+       wave_gain=st.one_of(st.just(0), st.floats(0.0, 20.0)),
+       tau=st.sampled_from([0.05, 2, 12.5]),
+       jitter_sigma=st.sampled_from([0.0, 1.3]),
+       dead_time=st.sampled_from([0.0, 4.0]),
+       spacing=st.sampled_from([0.0, 5.0e3]),
+       generator=st.sampled_from(sorted(GENERATORS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_wave_candidates_match_the_reference(n, angle, multiple, wave_gain, tau, jitter_sigma,
+                                             dead_time, spacing, generator, seed):
+    # with every emission at t0 = 0, the times keep each last bit of the offsets
+    source = np.random.default_rng(seed)
+    stream = EmissionStream(t0=np.cumsum(source.exponential(spacing, n)),
+                            lam=source.uniform(0.0, np.pi, n), b_delay=source.exponential(5.0, n))
+    setting = ABSENT if angle is None else PolariserSetting(angle, insertion_delay=2.5)
+    config = DetectorConfig(model="wave", wave_gain=wave_gain, wave_decay_tau=tau,
+                            jitter_sigma=jitter_sigma, dead_time=dead_time,
+                            allow_multiple_detections=multiple)
+    got_rng, want_rng = GENERATORS[generator](seed), GENERATORS[generator](seed)
+    got = _wave_candidates(stream, setting, config, got_rng)
+    want = _reference_wave_candidates(stream, setting, config, want_rng)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
 def _apply_dead_time(times, dead: float) -> np.ndarray:
     """The dead-time thinning simulate_side applies, over a checked click-time array."""
     t = _as_sorted_array(times, "click times")

@@ -18,7 +18,7 @@ from bellsim.coincidence import (
     count_coincidences,
     estimate_accidentals_delayed,
 )
-from bellsim.detection import ClickStream, DetectorConfig, simulate_side
+from bellsim.detection import ABSENT, ClickStream, DetectorConfig, simulate_side
 from bellsim.harness import (
     CONFIG_KEYS,
     ScenarioConfig,
@@ -59,6 +59,21 @@ def test_run_scenario_is_deterministic():
     assert different.counts["raw"] != first.counts["raw"]
 
 
+def test_results_that_hold_arrays_compare_by_identity():
+    # a field-wise == on arrays raised "truth value of an array is ambiguous"
+    first, second = run_scenario(SMALL), run_scenario(SMALL)
+    rng_em, rng_a, _ = derive_rngs(SMALL.seed, 0, 0)
+    stream = generate_emissions(SMALL.emission, rng_em)
+    clicks = simulate_side(stream, "A", ABSENT, SMALL.detector_a, rng_a)
+    for one, twin in ((first, second), (first.configurations["x"], second.configurations["x"]),
+                      (first.configurations["x"].spectrum, second.configurations["x"].spectrum),
+                      (stream, dataclasses.replace(stream)),
+                      (clicks, dataclasses.replace(clicks))):
+        assert one == one
+        assert one != twin
+        assert len({one, twin}) == 2
+
+
 def test_truth_tally_and_raw_count_match_documented_seed_policy():
     # re-derive each cell's streams from the documented seed recipe and
     # check the report against independently recomputed quantities
@@ -84,7 +99,8 @@ def test_truth_tally_and_raw_count_match_documented_seed_policy():
 
 
 @pytest.mark.parametrize("seed, config_index, repeat", [
-    (0, 0, 0), (0, 3, 0), (7, 1, 2), (2**32 + 5, 4, 9), (123456789, 11, 1000)])
+    (0, 0, 0), (0, 3, 0), (7, 1, 2), (2**32 + 5, 4, 9), (123456789, 11, 1000),
+    (2**32 - 1, 2**32, 0), (2**64, 0, 2**96 + 2**32)])
 def test_derive_rngs_gives_the_spawned_children(seed, config_index, repeat):
     # the seed policy as documented: spawn three children of the cell's sequence
     spawned = np.random.SeedSequence([seed, config_index, repeat]).spawn(3)
@@ -92,6 +108,12 @@ def test_derive_rngs_gives_the_spawned_children(seed, config_index, repeat):
     assert len(derived) == 3
     for rng, child in zip(derived, spawned):
         assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+
+def test_derive_rngs_refuses_negative_entropy():
+    for entropy in ((-1, 0, 0), (0, -1, 0), (0, 0, -(2**40))):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            derive_rngs(*entropy)
 
 
 def _reference_window_inclusion(clicks_a, clicks_b, w):

@@ -11,12 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=cwd, env=_env(), capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("script, args", [
@@ -79,3 +83,24 @@ def test_rate_sweep_prints_undefined_without_true_pairs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     row = proc.stdout.splitlines()[1].split()
     assert row == ["10", "undefined", "undefined", "undefined", "undefined"]
+
+
+_IMPORTS_ONLY = """
+import os, runpy, sys
+runpy.run_path(sys.argv[1], run_name="imports_only")  # module body without main()
+print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))
+"""
+
+
+@pytest.mark.parametrize("script", ["rate_sweep.py", "window_visibility.py"])
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+def test_script_loads_numpy_with_the_cli_process_policy(script, preset, expected):
+    # a script is a CLI process: bellsim.cli sets one OpenBLAS thread before numpy loads
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_ONLY, str(ROOT / "scripts" / script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", expected]

@@ -9,8 +9,13 @@ import dataclasses
 import io
 import json
 import math
+import numbers
+import operator
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +32,7 @@ from bellsim.detection import (
 from bellsim.harness import SWEEP_PARAMETERS, ScenarioConfig, SweepSpec, parse_counts_file
 from bellsim.presets import PRESETS, load_scenario_file, load_sweep_file
 from bellsim.source import HIDDEN_VARIABLE_MODES, PROCESSES, EmissionConfig
+from bellsim.validation import _shown, check_number
 
 # (class, field name as the message shows it, a builder that puts a value there)
 NUMERIC_FIELDS = [
@@ -94,6 +100,65 @@ def test_choices_and_flags_refuse_other_types():
             DetectorConfig(allow_multiple_detections=bad)
     with pytest.raises(ValueError, match="sweep parameter"):
         SweepSpec(["mean_rate"], (1.0,), ScenarioConfig())
+
+
+def _reference_check_number(name: str, value, *, integer: bool = False,
+                            ge=None, gt=None, le=None) -> None:
+    """check_number as first written: every value through every check."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {_shown(value)}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {_shown(value)}") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    for bound, sign, holds in ((ge, ">=", operator.ge), (gt, ">", operator.gt),
+                               (le, "<=", operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
+
+
+def _outcome(check, value, **kwargs):
+    try:
+        check("field", value, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_TINY = 5e-324  # the smallest subnormal
+# float() overflows from 2**1024 - 2**970, where the rounding reaches 2**1024
+_LARGE_INTS = {
+    **{f"{s}2**{k}{d:+d}": (-1 if s else 1) * (2**k + d)
+       for s in ("", "-") for k in (1023, 1024) for d in (-1, 0, 1)},
+    "2**1024-2**970": 2**1024 - 2**970, "2**1024-2**970-1": 2**1024 - 2**970 - 1,
+    "-2**1024+2**970": -(2**1024 - 2**970), "10**400": 10**400,
+}
+_CHECKED_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, _TINY, -_TINY, 2.2250738585072014e-308 / 3,
+    1.5, -2.5, 1.0e308, -1.7976931348623157e308,
+    0, 1, -1, 7, 2**53 + 1,
+    *(pytest.param(v, id=label) for label, v in _LARGE_INTS.items()),
+    True, False,
+    np.float64(1.5), np.float64(math.nan), np.float64(math.inf), np.int64(3), np.int64(-3),
+    np.bool_(True), np.bool_(False),
+    Fraction(1, 3), Fraction(-7, 2), Decimal("1.5"), Decimal("NaN"), "1.5", "nan", None,
+]
+_BOUNDS = [{}, {"ge": 0.0}, {"gt": 0.0}, {"le": 1.0}, {"ge": 0}, {"gt": 0}, {"le": 0},
+           {"ge": 1.0, "le": 1.0}, {"ge": -(2**1023)}, {"le": 2**1023}, {"gt": 2**1023 - 1},
+           {"ge": 0.0, "gt": 0.5, "le": 2.0}]
+
+
+@pytest.mark.parametrize("value", _CHECKED_VALUES, ids=repr)
+def test_check_number_decides_like_the_reference(value):
+    # every bound also sits exactly at the value, where ge and le pass and gt fails
+    at_value = [{"ge": value}, {"gt": value}, {"le": value}]
+    for integer in (False, True):
+        for bounds in _BOUNDS + at_value:
+            want = _outcome(_reference_check_number, value, integer=integer, **bounds)
+            assert _outcome(check_number, value, integer=integer, **bounds) == want
 
 
 # --- fuzzed input files ------------------------------------------------------
