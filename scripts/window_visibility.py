@@ -15,14 +15,8 @@ import math
 # the CLI's allocator policy, and must load before anything imports numpy
 import bellsim.cli  # noqa: F401
 from bellsim.bellstats import compute_visibility_statistic
-from bellsim.harness import coincidence_curve
+from bellsim.harness import apply_sweep_value, coincidence_curve
 from bellsim.presets import aspect_like, wave_like
-
-
-def with_width(base, width: float, seed: int):
-    window = dataclasses.replace(base.window,
-                                 window_hi=base.window.window_lo + width)
-    return dataclasses.replace(base, window=window, seed=seed)
 
 
 def main() -> None:
@@ -40,7 +34,8 @@ def main() -> None:
     angles = [k * step for k in range(args.points)]
     models = {"particle": aspect_like(), "wave": wave_like()}
     try:  # the configs refuse a bad width or seed before any curve runs
-        rows = [(width, [with_width(base, width, args.seed) for base in models.values()])
+        rows = [(width, [dataclasses.replace(apply_sweep_value(base, "window_width", width),
+                                             seed=args.seed) for base in models.values()])
                 for width in args.widths]
     except ValueError as exc:
         parser.error(str(exc))

@@ -86,22 +86,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the JSON report here instead of stdout")
     p_sim.add_argument("--counts-csv", dest="counts_csv",
                        help="also write per-configuration counts as CSV")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_stats = sub.add_parser("stats", help="recompute statistics from a counts file")
     p_stats.add_argument("counts", nargs="?", help="counts file, JSON or CSV")
     p_stats.add_argument("--bundled", action="store_true",
                          help="use the bundled historical counts table")
     p_stats.add_argument("--out", help="write the JSON report here instead of stdout")
+    p_stats.set_defaults(handler=_cmd_stats)
 
     p_spec = sub.add_parser("spectrum", help="emit one configuration's spectrum as CSV")
     p_spec.add_argument("scenario", help="scenario JSON file (may name a preset)")
     p_spec.add_argument("--config", required=True, choices=list(CONFIG_KEYS),
                         help="which polariser configuration to report")
     p_spec.add_argument("--out", help="write the CSV here instead of stdout")
+    p_spec.set_defaults(handler=_cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="run a one-parameter sweep file")
     p_sweep.add_argument("sweep", help="sweep JSON file")
     p_sweep.add_argument("--out", help="write the CSV table here instead of stdout")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     return parser
 
@@ -149,14 +153,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "stats": _cmd_stats,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-}
-
-
 def _emit_error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
@@ -165,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return 2

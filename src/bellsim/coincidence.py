@@ -80,7 +80,9 @@ class WindowConfig:
     def __post_init__(self) -> None:
         require_numbers(self, "channel_delay", "window_lo", "window_hi", "accidental_offset")
         require_numbers(self, "bin_width", gt=0.0)
-        # the delayed channel shifts B by this sum, and its window starts here
+        # the pair pass's offset window starts at window_lo - accidental_offset;
+        # no code adds channel_delay + accidental_offset, so that check only
+        # refuses an input whose sum overflows
         check_number("channel_delay + accidental_offset",
                      self.channel_delay + self.accidental_offset)
         check_number("window_lo - accidental_offset", self.window_lo - self.accidental_offset)

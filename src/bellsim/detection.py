@@ -47,9 +47,10 @@ MALUS_MAX_REL = 16.0
 class PolariserSetting:
     """A polariser slot on one arm: either absent or set to an angle.
 
-    angle None means no polariser in the beam. insertion_delay (ns) is the
-    extra propagation delay the inserted element adds; it applies only when
-    the polariser is present.
+    angle None means no polariser in the beam; a set angle is stored as a
+    float, reduced mod pi. insertion_delay (ns) is the extra propagation
+    delay the inserted element adds; it applies only when the polariser is
+    present.
     """
 
     angle: float | None = None
@@ -58,7 +59,7 @@ class PolariserSetting:
     def __post_init__(self) -> None:
         if self.angle is not None:
             check_number("angle", self.angle)
-            object.__setattr__(self, "angle", self.angle % math.pi)
+            object.__setattr__(self, "angle", float(self.angle % math.pi))
         check_number("insertion_delay", self.insertion_delay, ge=0.0)
 
     @property
@@ -146,8 +147,6 @@ def _dead_time_keep_mask(times: np.ndarray, dead_time: float) -> np.ndarray:
     """
     n = times.size
     keep = np.ones(n, dtype=bool)
-    if n <= 1 or dead_time <= 0.0:
-        return keep
     np.greater_equal(times[1:] - times[:-1], dead_time, out=keep[1:])
     run_starts = keep.nonzero()[0]
     lengths = np.concatenate((run_starts[1:], [n])) - run_starts

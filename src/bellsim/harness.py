@@ -133,18 +133,15 @@ class ScenarioConfig:
 
     def polariser_settings(self, key: str) -> tuple[PolariserSetting, PolariserSetting]:
         """The (A, B) polariser slots for one configuration key."""
-        pol_a = PolariserSetting(angle=self.analyzer_a, insertion_delay=self.insertion_delay_a)
-        if key == "x":
-            return pol_a, PolariserSetting(angle=self.analyzer_a + self.relative_angle_x,
-                                           insertion_delay=self.insertion_delay_b)
-        if key == "y":
-            return pol_a, PolariserSetting(angle=self.analyzer_a + self.relative_angle_y,
-                                           insertion_delay=self.insertion_delay_b)
-        if key == "z":
-            return pol_a, ABSENT
+        check_choice("configuration key", key, CONFIG_KEYS)
         if key == "Z":
             return ABSENT, ABSENT
-        raise ValueError(f"unknown configuration key {key!r}, expected one of {CONFIG_KEYS}")
+        pol_a = PolariserSetting(angle=self.analyzer_a, insertion_delay=self.insertion_delay_a)
+        if key == "z":
+            return pol_a, ABSENT
+        relative = self.relative_angle_x if key == "x" else self.relative_angle_y
+        return pol_a, PolariserSetting(angle=self.analyzer_a + relative,
+                                       insertion_delay=self.insertion_delay_b)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -278,18 +275,12 @@ def _window_inclusion(pairs: CellPairs, ids_a: np.ndarray, ids_b: np.ndarray) ->
     the true-coincidence peak the window captures. A pair is inside when its
     B index lies in the window range [j0, j1) of its A click.
     """
-    if ids_a.size == 0 or ids_b.size == 0:
-        return 0, 0
-    size = int(max(ids_a.max(), ids_b.max())) + 1
+    size = int(max(ids_a.max(initial=-1), ids_b.max(initial=-1))) + 1
     first_a, first_b = _first_clicks(ids_a, size), _first_clicks(ids_b, size)
     both = ((first_a < ids_a.size) & (first_b < ids_b.size)).nonzero()[0]
     i, j = first_a[both], first_b[both]
     inside = int(np.count_nonzero((pairs.j0[i] <= j) & (j < pairs.j1[i])))
     return inside, int(both.size)
-
-
-def _angle_of(setting: PolariserSetting) -> float | None:
-    return float(setting.angle) if setting.present else None
 
 
 def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: PolariserSetting,
@@ -311,8 +302,8 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
                                                             clicks_b.emission_index)
     return ConfigurationResult(
         key=key,
-        angle_a=_angle_of(set_a),
-        angle_b=_angle_of(set_b),
+        angle_a=set_a.angle,
+        angle_b=set_b.angle,
         raw_count=count_coincidences(pairs),
         acc_delayed=estimate_accidentals_delayed(pairs),
         acc_product=(estimate_accidentals_product(clicks_a.size, clicks_b.size, s.window,
@@ -366,7 +357,21 @@ def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> li
             for i, rel in enumerate(relative_angles)]
 
 
-SWEEP_PARAMETERS = ("window_width", "mean_rate", "accidental_offset", "min_gap", "wave_gain")
+# sweep parameter -> the scenario with that parameter set to a value
+_SWEEP_EDITS = {
+    "window_width": lambda s, v: dataclasses.replace(
+        s, window=dataclasses.replace(s.window, window_hi=s.window.window_lo + v)),
+    "mean_rate": lambda s, v: dataclasses.replace(
+        s, emission=dataclasses.replace(s.emission, mean_rate=v)),
+    "accidental_offset": lambda s, v: dataclasses.replace(
+        s, window=dataclasses.replace(s.window, accidental_offset=v)),
+    "min_gap": lambda s, v: dataclasses.replace(s, emission=dataclasses.replace(
+        s.emission, min_gap=v, process="min_separation" if v > 0.0 else s.emission.process)),
+    "wave_gain": lambda s, v: dataclasses.replace(
+        s, detector_a=dataclasses.replace(s.detector_a, wave_gain=v),
+        detector_b=dataclasses.replace(s.detector_b, wave_gain=v)),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_EDITS)
 
 
 @dataclass(frozen=True)
@@ -399,25 +404,8 @@ class SweepSpec:
 
 def apply_sweep_value(s: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
     """Return the scenario with one swept parameter replaced."""
-    if parameter == "window_width":
-        w = dataclasses.replace(s.window, window_hi=s.window.window_lo + value)
-        return dataclasses.replace(s, window=w)
-    if parameter == "mean_rate":
-        return dataclasses.replace(s, emission=dataclasses.replace(s.emission, mean_rate=value))
-    if parameter == "accidental_offset":
-        w = dataclasses.replace(s.window, accidental_offset=value)
-        return dataclasses.replace(s, window=w)
-    if parameter == "min_gap":
-        process = "min_separation" if value > 0.0 else s.emission.process
-        return dataclasses.replace(
-            s, emission=dataclasses.replace(s.emission, min_gap=value, process=process))
-    if parameter == "wave_gain":
-        return dataclasses.replace(
-            s,
-            detector_a=dataclasses.replace(s.detector_a, wave_gain=value),
-            detector_b=dataclasses.replace(s.detector_b, wave_gain=value),
-        )
-    raise ValueError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEP_PARAMETERS}")
+    check_choice("sweep parameter", parameter, SWEEP_PARAMETERS)
+    return _SWEEP_EDITS[parameter](s, value)
 
 
 _SWEEP_COLUMNS = (

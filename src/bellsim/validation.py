@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 
 
 def _shown(value) -> str:
@@ -30,30 +29,27 @@ def check_number(name: str, value, *, integer: bool = False,
                  ge=None, gt=None, le=None) -> None:
     """Raise ValueError unless value is a finite real number (an int if integer) within bounds.
 
-    A bound of None is not checked.
+    A plain int, or a plain float where a number is wanted, is a number of
+    the right kind; any other value is type-tested. A bound of None is not
+    checked.
     """
-    # most values are a plain float, or a plain int that float() cannot
-    # overflow, and pass: they return here after the same comparisons, and
-    # everything else, every refusal included, takes the checks below
     kind = type(value)
-    if (((kind is float and not integer and math.isfinite(value))
-         or (kind is int and value.bit_length() <= 1023))
-            and (ge is None or value >= ge) and (gt is None or value > gt)
-            and (le is None or value <= le)):
-        return
-    if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
-                         f"got {_shown(value)}")
+    if kind is not int and (kind is not float or integer):
+        if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
+            raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                             f"got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float, got {_shown(value)}") from None
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
-    for bound, sign, holds in ((ge, ">=", operator.ge), (gt, ">", operator.gt),
-                               (le, "<=", operator.le)):
-        if bound is not None and not holds(value, bound):
-            raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
+    if ge is not None and not value >= ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value!r}")
+    if gt is not None and not value > gt:
+        raise ValueError(f"{name} must be > {gt}, got {value!r}")
+    if le is not None and not value <= le:
+        raise ValueError(f"{name} must be <= {le}, got {value!r}")
 
 
 def require_numbers(config, *names: str, **bounds) -> None:

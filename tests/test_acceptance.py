@@ -1,7 +1,7 @@
-"""Acceptance suite: eight criteria, one printed PASS/FAIL line each.
+"""Acceptance suite: criteria 1 to 8 and 10, one printed PASS/FAIL line each.
 
 Each criterion prints a verdict line even under pytest's output capture so a
-plain `pytest tests/test_acceptance.py` run shows the eight results at a
+plain `pytest tests/test_acceptance.py` run shows every result at a
 glance. Statistical criteria use pinned seeds, so the suite is deterministic.
 """
 
@@ -208,3 +208,35 @@ def test_criterion_8_spectrum_tail_and_flat_floor(capsys):
     ok = abs(tau - 5.0) <= 0.5 and p_value > 1e-3
     _verdict(capsys, 8, "5 ns tail recovered and unrelated-stream floor is flat",
              ok, f"tau {tau:.3f} ns, flat-spectrum p {p_value:.3f}")
+
+
+def test_criterion_10_one_orientation_cannot_show_rotational_invariance(capsys):
+    # the paper's "over-reliance on rotational invariance": s_std assumes
+    # that the counts depend only on the relative angle. A fixed hidden
+    # variable breaks that, so one orientation reads a violation that the
+    # next one refutes; the uniform source reads the same at both
+    start = time.perf_counter()
+    base = aspect_like()
+    orientations = (0.0, math.pi / 4.0)
+    s_std = {}
+    for hidden_variable in ("fixed", "uniform"):
+        emission = dataclasses.replace(base.emission, mean_rate=2.0e4, duration=0.5,
+                                       hidden_variable=hidden_variable, fixed_angle=0.0)
+        for analyzer_a in orientations:
+            s_std[hidden_variable, analyzer_a] = np.array([
+                _values(run_scenario(dataclasses.replace(
+                    base, emission=emission, analyzer_a=analyzer_a, seed=seed)
+                ).reports["raw"])["s_std"] for seed in range(10)])
+    elapsed = time.perf_counter() - start
+    limit = LIMITS["s_std"]
+    fixed_ok = bool((s_std["fixed", 0.0] > limit).all()
+                    and (s_std["fixed", math.pi / 4.0] <= limit).all())
+    uniform = [s_std["uniform", a] for a in orientations]
+    gap = abs(float(uniform[0].mean() - uniform[1].mean()))
+    # standard errors of the two 10-seed means, combined
+    sigma = math.sqrt(sum(float(v.var(ddof=1)) / v.size for v in uniform))
+    ok = fixed_ok and gap <= 3.0 * sigma
+    _verdict(capsys, 10, "a fixed hidden variable violates at one orientation only",
+             ok, f"fixed s_std {s_std['fixed', 0.0].min():.3f} min at 0, "
+             f"{s_std['fixed', math.pi / 4.0].max():.3f} max at pi/4; uniform gap "
+             f"{gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")

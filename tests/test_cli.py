@@ -457,6 +457,10 @@ def _fresh_python(code: str, blas_threads: str | None = None) -> str:
 def test_package_import_loads_no_numpy():
     # the CLI sets numpy's BLAS threads after `import bellsim` and before numpy loads
     assert _fresh_python("import sys, bellsim; print('numpy' in sys.modules)") == "False"
+    # dir() lists every exported name while all are still unloaded, and loads none
+    code = ("import sys, bellsim; "
+            "print(set(dir(bellsim)) >= set(bellsim.__all__), 'numpy' in sys.modules)")
+    assert _fresh_python(code) == "True False"
 
 
 _STAR_IMPORT = """

@@ -13,6 +13,7 @@ from scipy import stats
 
 import bellsim.coincidence
 from bellsim.coincidence import (
+    CoincidenceSpectrum,
     WindowConfig,
     build_spectrum,
     cell_pairs,
@@ -71,6 +72,8 @@ def test_count_rejects_unsorted():
         cell_pairs([5.0, 1.0], [0.0], W)
     with pytest.raises(ValueError):
         cell_pairs([0.0], [5.0, 1.0], W)
+    with pytest.raises(ValueError, match="times_b must be one-dimensional"):
+        cell_pairs([0.0], [[0.0, 1.0]], W)
 
 
 def _reference_one_use_count(a, b, lo, hi):
@@ -347,6 +350,13 @@ def test_empty_streams_give_zero_spectrum():
     assert spectrum.total_pairs_considered == 0
     assert spectrum.bin_edges[0] == -53.0
     assert spectrum.bin_edges[-1] == 67.0
+
+
+def test_spectrum_refuses_mismatched_sizes_and_negative_counts():
+    with pytest.raises(ValueError, match="exactly one more entry than counts"):
+        CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=np.array([1, -1]))
 
 
 def _spectrum_of(deltas, w: WindowConfig, spectrum_range):

@@ -8,6 +8,7 @@ change that moves one must say why, and re-pin it.
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,9 @@ REPEATS_DIGESTS = {
 # efficiency, insertion and channel delays, a min-separation source, and a
 # rate at which dead time drops about 4 % (x) to 8 % (Z) of the clicks
 PARTICLE_BRANCHES_DIGEST = "a07b0756d3dde8906f21b12c76b1978d71a5aecfd69b967e4062623edeccc15e"
+# a fixed hidden variable off the A analyzer, with insertion delays on both
+# sides: the last particle branch, and the stored polariser angles
+FIXED_HIDDEN_VARIABLE_DIGEST = "c27e2cef0b7657b370bdd9d1b749ca192fb48992f4c54d12aad098120a57a683"
 # no emissions at all: the wave detector's empty path, with one and with many clicks each
 ZERO_EMISSION_WAVE_DIGESTS = {
     False: "11640b3735033ca82e42b544c99795aa30c4c85e1187faa8bdfafa85a07372ce",
@@ -114,6 +118,14 @@ def test_particle_branches_report_digest():
         window=dataclasses.replace(base.window, channel_delay=2.5),
         insertion_delay_a=1.25, insertion_delay_b=3.5)
     assert _report_digest(scenario) == PARTICLE_BRANCHES_DIGEST
+
+
+def test_fixed_hidden_variable_report_digest():
+    base = aspect_like()
+    emission = dataclasses.replace(base.emission, hidden_variable="fixed", fixed_angle=0.3)
+    scenario = _short(dataclasses.replace(base, emission=emission), seed=9,
+                      analyzer_a=math.pi / 4.0, insertion_delay_a=1.75, insertion_delay_b=4.5)
+    assert _report_digest(scenario) == FIXED_HIDDEN_VARIABLE_DIGEST
 
 
 def test_sweep_csv_digest():

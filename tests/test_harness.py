@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,8 +268,15 @@ def test_polariser_settings_mapping():
     assert a.present and not b.present
     a, b = s.polariser_settings("Z")
     assert not a.present and not b.present
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown configuration key 'w', expected one of ('x', 'y', 'z', 'Z')")):
         s.polariser_settings("w")
+    with pytest.raises(ValueError, match="configuration key must be a string, got 1"):
+        s.polariser_settings(1)
+    # a set angle is stored as a plain float, reduced mod pi
+    a, b = ScenarioConfig(analyzer_a=np.float64(3.5)).polariser_settings("x")
+    assert type(a.angle) is float and type(b.angle) is float
+    assert a.angle == pytest.approx(3.5 - math.pi)
 
 
 def test_scenario_validation():
@@ -376,7 +384,15 @@ def test_apply_sweep_value_semantics():
     s = apply_sweep_value(wave, "wave_gain", 2.5)
     assert s.detector_a.wave_gain == 2.5
     assert s.detector_b.wave_gain == 2.5
-    with pytest.raises(ValueError):
+    s = apply_sweep_value(SMALL, "accidental_offset", 250.0)
+    assert s.window.accidental_offset == 250.0
+    assert (s.window.window_lo, s.window.window_hi) == (SMALL.window.window_lo,
+                                                        SMALL.window.window_hi)
+    s = apply_sweep_value(SMALL, "mean_rate", 3.0e4)
+    assert s.emission.mean_rate == 3.0e4
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown sweep parameter 'jitter', expected one of ('window_width', 'mean_rate', "
+            "'accidental_offset', 'min_gap', 'wave_gain')")):
         apply_sweep_value(SMALL, "jitter", 1.0)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
+from bellsim.source import (MAX_EMISSIONS_PER_CELL, EmissionConfig, EmissionStream,
+                            generate_emissions)
 
 
 def test_zero_duration_gives_empty_stream():
@@ -14,6 +15,13 @@ def test_zero_duration_gives_empty_stream():
     stream = generate_emissions(cfg, seed=0)
     assert stream.size == 0
     assert stream.lam.size == stream.b_delay.size == 0
+
+
+@pytest.mark.parametrize("column", ["lam", "b_delay"])
+def test_emission_stream_refuses_a_column_of_another_size(column):
+    columns = {"t0": np.zeros(3), "lam": np.zeros(3), "b_delay": np.zeros(3), column: np.zeros(2)}
+    with pytest.raises(ValueError, match=f"column '{column}' has size 2, expected 3"):
+        EmissionStream(**columns)
 
 
 def test_poisson_count_matches_rate():
