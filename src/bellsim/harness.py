@@ -19,7 +19,14 @@ count table from the configurations and computes its statistics on it, after
 subtracting the variant's accidentals if it has any. A coincidence curve
 point is configuration x at that relative angle, counted by the same cells.
 A sweep runs one scenario per value and returns their reports;
-sweep_csv_text writes them as a table.
+sweep_csv_text writes them as a table. run_sweep splits the points over P
+processes, P the least of the number of points, the CPUs this process may
+run on, and MAX_EMISSIONS_PER_CELL // the largest expected cell, so the
+cells running at once stay within one cell's emissions cap. The parent runs
+one share and a forked child each other; the reports come back in point
+order, byte-identical to a serial run's, because every point's seed is its
+own. P is 1 where the platform cannot say which CPUs are usable, and
+while another thread runs, since fork copies only the calling thread.
 
 A scenario is refused when it is parsed if a cell would expect more than
 MAX_EMISSIONS_PER_CELL emissions, or if a multi-click wave detector would
@@ -39,6 +46,9 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import pickle
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,15 +131,27 @@ class ScenarioConfig:
             object.__setattr__(self, "spectrum_range", tuple(map(float, self.spectrum_range)))
         # the edges of every cell's spectrum, checked before any cell runs
         spectrum_bin_edges(self.window, self.spectrum_range)
-        for side, d in (("detector_a", self.detector_a), ("detector_b", self.detector_b)):
-            if d.model != "wave" or not d.allow_multiple_detections:
-                continue
-            hazard = d.wave_gain * d.wave_decay_tau  # DetectorConfig caps it
-            clicks = self.emission.mean_rate * self.emission.duration * hazard
+        for side, hazard, clicks in self._multi_click_sides():
             if clicks > MAX_EMISSIONS_PER_CELL:
                 raise ValueError(
                     f"{side} expects up to {clicks:g} clicks per cell, {hazard} hazard units "
                     f"on each emission, over the cap of {MAX_EMISSIONS_PER_CELL}")
+
+    def _multi_click_sides(self):
+        """(side, hazard units, expected clicks per cell) of each multi-click wave detector."""
+        for side, d in (("detector_a", self.detector_a), ("detector_b", self.detector_b)):
+            if d.model == "wave" and d.allow_multiple_detections:
+                hazard = d.wave_gain * d.wave_decay_tau  # DetectorConfig caps it
+                yield side, hazard, self.emission.mean_rate * self.emission.duration * hazard
+
+    @property
+    def expected_cell_size(self) -> float:
+        """A cell's expected emissions, or a multi-click side's expected clicks if more.
+
+        Each is held under MAX_EMISSIONS_PER_CELL when the config is parsed.
+        """
+        return max([self.emission.mean_rate * self.emission.duration,
+                    *(clicks for _, _, clicks in self._multi_click_sides())])
 
     def polariser_settings(self, key: str) -> tuple[PolariserSetting, PolariserSetting]:
         """The (A, B) polariser slots for one configuration key."""
@@ -437,15 +459,131 @@ def sweep_csv_text(spec: SweepSpec, reports: Sequence[ScenarioReport]) -> str:
     return buf.getvalue()
 
 
-def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
-    """run_scenario on each point's scenario, whose seed is base seed + value index."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _sweep_processes(spec: SweepSpec) -> int:
+    """How many processes run_sweep splits spec's points over."""
+    if threading.active_count() > 1:
+        return 1  # fork copies only this thread, and a lock another thread holds stays held
+    largest = max(s.expected_cell_size for s in spec.scenarios)
+    return int(min(len(spec.scenarios), _usable_cpus(),
+                   MAX_EMISSIONS_PER_CELL // max(1.0, largest)))
+
+
+def _deal(weights: Sequence[float], processes: int) -> list[list[int]]:
+    """Point indices per process, heaviest first to the least loaded; each share in order.
+
+    Ties go to the process with fewer points, then the lower number, so
+    equal weights alternate between the processes.
+    """
+    loads = [0.0] * processes
+    shares: list[list[int]] = [[] for _ in range(processes)]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):  # stable: ties in order
+        p = min(range(processes), key=lambda p: (loads[p], len(shares[p])))
+        shares[p].append(i)
+        loads[p] += weights[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(spec: SweepSpec, indices: list[int]):
+    """Reports of the points at indices, in order, and the first failure as (index, exception)."""
     reports = []
-    for value, scenario in zip(spec.values, spec.scenarios):
+    for i in indices:
         try:
-            reports.append(run_scenario(scenario))
+            reports.append(run_scenario(spec.scenarios[i]))
         except Exception as exc:
-            raise RuntimeError(f"sweep aborted at {spec.parameter} = {value}: {exc}") from exc
-    return reports
+            return reports, (i, exc)
+    return reports, None
+
+
+def _fork_share(spec: SweepSpec, indices: list[int]):
+    """Start a child that runs a share; (its pid, the read end of its pipe as a file).
+
+    The child writes one pickle to the pipe: the share's reports as a list,
+    or its first failure as an (index, message) tuple. It never returns: it
+    leaves through os._exit, so it flushes none of the parent's buffered
+    output and runs none of its exit handlers.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            reports, failure = _run_share(spec, indices)
+            payload = reports if failure is None else (failure[0], str(failure[1]))
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _stop(children: dict) -> None:
+    """Kill and reap the children not yet reaped, and close their pipes."""
+    if not children:
+        return
+    import signal  # only an interrupted sweep gets here
+
+    for pid, (pipe, _) in children.items():
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
+    """run_scenario on each point's scenario, whose seed is base seed + value index.
+
+    The points are dealt by mean_rate x duration x repeats over
+    _sweep_processes(spec) processes, and the parent runs the first share.
+    The reports come back in point order. A failed point raises the serial
+    run's error for the lowest failing index once every child is reaped; a
+    child that did not finish raises RuntimeError.
+    """
+    weights = [s.emission.mean_rate * s.emission.duration * s.repeats for s in spec.scenarios]
+    shares = _deal(weights, _sweep_processes(spec))
+    children = {}  # pid -> (read end of its pipe, its share), until it is reaped
+    try:
+        for indices in shares[1:]:
+            pid, pipe = _fork_share(spec, indices)
+            children[pid] = (pipe, indices)
+        reports, failure = _run_share(spec, shares[0])
+        by_index = dict(zip(shares[0], reports))
+        failures = dict([failure]) if failure else {}  # index -> exception or child's message
+        unfinished = []
+        for pid, (pipe, indices) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                unfinished.append(f"points {indices} " + (
+                    f"ended by signal {-code}" if code < 0 else f"exited with status {code}"))
+            elif isinstance(payload := pickle.loads(data), tuple):
+                failures[payload[0]] = payload[1]
+            else:
+                by_index.update(zip(indices, payload))
+    finally:
+        _stop(children)
+    if unfinished:
+        raise RuntimeError(f"sweep process for {'; '.join(unfinished)}")
+    if failures:
+        first = min(failures)
+        error = failures[first]
+        raise RuntimeError(f"sweep aborted at {spec.parameter} = {spec.values[first]}: {error}") \
+            from (error if isinstance(error, Exception) else None)
+    return [by_index[i] for i in range(len(spec.scenarios))]
 
 
 def _merge_section(current, overrides: dict, section: str):

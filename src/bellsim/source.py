@@ -21,7 +21,8 @@ from bellsim.validation import check_choice, require_numbers
 
 NS_PER_SECOND = 1.0e9
 # a cell's peak memory grows by about 150 bytes per emission, so this keeps
-# a run under about 3 GB; cells run one after another
+# a run under about 3 GB: a process runs one cell at a time, and a sweep
+# runs only as many processes as their largest cells fit under it together
 MAX_EMISSIONS_PER_CELL = 20_000_000
 
 PROCESSES = ("poisson", "min_separation")

@@ -1,4 +1,4 @@
-"""Acceptance suite: criteria 1 to 8 and 10, one printed PASS/FAIL line each.
+"""Acceptance suite: criteria 1 to 8, 10 and 13, one printed PASS/FAIL line each.
 
 Each criterion prints a verdict line even under pytest's output capture so a
 plain `pytest tests/test_acceptance.py` run shows every result at a
@@ -17,10 +17,13 @@ from bellsim.bellstats import LIMITS, compute_visibility_statistic
 from bellsim.coincidence import WindowConfig, build_spectrum, cell_pairs
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
 from bellsim.harness import (
+    CONFIG_KEYS,
     ScenarioConfig,
+    SweepSpec,
     coincidence_curve,
     reanalyze_counts,
     run_scenario,
+    run_sweep,
 )
 from bellsim.presets import aspect_like, bundled_counts_path, wave_like
 from bellsim.source import EmissionConfig, generate_emissions
@@ -240,3 +243,68 @@ def test_criterion_10_one_orientation_cannot_show_rotational_invariance(capsys):
              ok, f"fixed s_std {s_std['fixed', 0.0].min():.3f} min at 0, "
              f"{s_std['fixed', math.pi / 4.0].max():.3f} max at pi/4; uniform gap "
              f"{gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")
+
+
+def _seed_runs(scenario, seeds: int):
+    """run_scenario at seeds scenario.seed + 0 .. seeds - 1, as one sweep of equal rates."""
+    rate = scenario.emission.mean_rate
+    return run_sweep(SweepSpec(parameter="mean_rate", values=(rate,) * seeds, fixed=scenario))
+
+
+def test_criterion_13a_dead_time_turns_independent_emissions_into_a_violation(capsys):
+    # the paper's condition for subtraction, independent emissions, is not
+    # enough: at 3e7/s the 16 ns dead time and one-use matching make the
+    # Poisson source's clicks dependent, and both corrected tables "violate"
+    start = time.perf_counter()
+    base = aspect_like()
+    scenario = dataclasses.replace(
+        base, emission=dataclasses.replace(base.emission, mean_rate=3.0e7, duration=0.003))
+    runs = _seed_runs(scenario, 10)
+    elapsed = time.perf_counter() - start
+    limit = LIMITS["s_freedman"]
+    s_freedman = {variant: np.array([_values(r.reports[variant])["s_freedman"] for r in runs])
+                  for variant in ("raw", "truth", "corrected_product", "corrected_delayed")}
+    passing = {v: int((s_freedman[v] <= limit).sum()) for v in ("raw", "truth")}
+    violating = {v: int((s_freedman[v] > limit).sum())
+                 for v in ("corrected_product", "corrected_delayed")}
+    ok = (all(n == len(runs) for n in passing.values())
+          and all(n >= len(runs) - 1 for n in violating.values()))
+    _verdict(capsys, 13, "at 3e7/s raw and truth pass, both corrected s_freedman violate",
+             ok, ", ".join([f"{v} <= {limit} in {n}/{len(runs)}" for v, n in passing.items()]
+                           + [f"{v} > {limit} in {n}/{len(runs)}" for v, n in violating.items()])
+             + f", {elapsed:.2f} s")
+
+
+def _accidental_totals(report) -> tuple[float, float, float]:
+    """The true in-window accidentals, the delayed and the product estimate, over configurations."""
+    cfg = [report.configurations[k] for k in CONFIG_KEYS]
+    return (sum(c.accidental_pairs for c in cfg), sum(c.acc_delayed for c in cfg),
+            sum(c.acc_product for c in cfg))
+
+
+def test_criterion_13b_estimates_match_the_tally_only_without_dead_time(capsys, poisson_suite):
+    # the dead time that follows a true click hides the accidentals near it;
+    # the delayed window and the singles product cannot see that
+    start = time.perf_counter()
+    with_dead_time = np.array([_accidental_totals(r) for r in poisson_suite])
+    hidden = int(((with_dead_time[:, 0] < 0.5 * with_dead_time[:, 1])
+                  & (with_dead_time[:, 0] < 0.5 * with_dead_time[:, 2])).sum())
+    base = aspect_like()
+    detector = dataclasses.replace(base.detector_a, dead_time=0.0)
+    scenario = dataclasses.replace(
+        base, emission=dataclasses.replace(base.emission, duration=0.5),
+        detector_a=detector, detector_b=detector, seed=SUITE_SEEDS[0])
+    without = np.array([_accidental_totals(r) for r in _seed_runs(scenario, 10)])
+    elapsed = time.perf_counter() - start
+    gaps = []
+    for column, name in ((1, "delayed"), (2, "product")):
+        diff = without[:, column] - without[:, 0]
+        # Monte Carlo error of the 10-seed mean difference
+        sigma_mean = float(diff.std(ddof=1)) / math.sqrt(diff.size)
+        gaps.append((name, float(diff.mean()), 3.0 * sigma_mean))
+    ok = hidden == len(poisson_suite) and all(abs(gap) <= bound for _, gap, bound in gaps)
+    _verdict(capsys, 13, "tally under half of both estimates with dead time, equal without",
+             ok, f"tally/delayed/product means {with_dead_time.mean(axis=0).round(1).tolist()}, "
+             f"under half of both in {hidden}/{len(poisson_suite)} seeds; without dead time "
+             + ", ".join(f"{name} - tally {gap:+.1f}/{bound:.1f}" for name, gap, bound in gaps)
+             + f", {elapsed:.2f} s")

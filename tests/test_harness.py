@@ -3,14 +3,20 @@
 import dataclasses
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import harness
 from bellsim.bellstats import RunCounts
+from bellsim.cli import main
 from bellsim.coincidence import (
     WindowConfig,
     build_spectrum,
@@ -360,16 +366,187 @@ def test_sweep_spec_refuses_a_value_the_config_rules_refuse():
         SweepSpec(parameter="window_width", values=(20.0, -5.0), fixed=SMALL)
 
 
-def test_sweep_abort_names_offending_value():
+@pytest.fixture
+def no_stray_process(capfd):
+    """Fails a forking test that hangs or leaves a child unreaped; capfd sees their output."""
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the sweep hung"))
+    signal.alarm(60)
+    try:
+        yield capfd
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _processes(monkeypatch, spec, processes):
+    """Let run_sweep split spec over this many processes, and check that it will."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: processes)
+    assert harness._sweep_processes(spec) == processes
+
+
+def _wave_sweep(values):
+    base = wave_like()
+    detector_a = dataclasses.replace(base.detector_a, allow_multiple_detections=True)
+    detector_b = dataclasses.replace(base.detector_b, allow_multiple_detections=True)
+    fixed = dataclasses.replace(base, detector_a=detector_a, detector_b=detector_b, seed=4,
+                                emission=dataclasses.replace(base.emission, duration=0.002))
+    return SweepSpec(parameter="wave_gain", values=values, fixed=fixed)
+
+
+@pytest.mark.parametrize("spec", [
+    # unequal weights: 5e4 alone, 3e4 alone, 2e4 with 1e4 at three processes
+    SweepSpec(parameter="mean_rate", values=(1.0e4, 3.0e4, 2.0e4, 5.0e4),
+              fixed=dataclasses.replace(SMALL, emission=EmissionConfig(duration=0.01))),
+    # equal weights: the points alternate between the processes
+    _wave_sweep((0.5, 1.0, 2.0, 4.0, 6.0)),
+], ids=["mean_rate", "wave_gain"])
+def test_sweep_reports_do_not_depend_on_the_process_count(monkeypatch, no_stray_process, spec):
+    outputs = []
+    for processes in (1, 2, 3):
+        _processes(monkeypatch, spec, processes)
+        reports = run_sweep(spec)
+        outputs.append(([json.dumps(r.to_dict(), sort_keys=True) for r in reports],
+                        sweep_csv_text(spec, reports).encode()))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+    assert no_stray_process.readouterr() == ("", "")
+
+
+def test_sweep_points_are_dealt_heaviest_first_to_the_least_loaded():
+    assert harness._deal([1.0, 2.0, 3.0], 2) == [[2], [0, 1]]
+    assert harness._deal([1.0] * 5, 2) == [[0, 2, 4], [1, 3]]
+    assert harness._deal([0.0] * 3, 3) == [[0], [1], [2]]
+
+
+def test_sweep_process_count_is_bounded_by_points_cpus_and_the_memory_cap(monkeypatch):
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 2.0e4, 3.0e4), fixed=SMALL)
+    wave = _wave_sweep((1.0, 2.0, 4.0))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+    assert harness._sweep_processes(spec) == 3
+    monkeypatch.setattr(harness, "MAX_EMISSIONS_PER_CELL", 2 * 3.0e4 * SMALL.emission.duration)
+    assert harness._sweep_processes(spec) == 2
+    # a multi-click side expects more clicks than the cell has emissions
+    clicks = wave.scenarios[-1].expected_cell_size
+    assert clicks > wave.fixed.emission.mean_rate * wave.fixed.emission.duration
+    monkeypatch.setattr(harness, "MAX_EMISSIONS_PER_CELL", 2.5 * clicks)
+    assert harness._sweep_processes(wave) == 2
+    monkeypatch.setattr(harness.threading, "active_count", lambda: 2)
+    assert harness._sweep_processes(wave) == 1
+
+
+def _pair_cap_sweep(values):
     # 1e5 emissions in 1 us pass the emissions cap, and then the pair cap
     # refuses the point's first cell
     base = PRESETS["aspect-like"]()
     detector = dataclasses.replace(base.detector_a, dead_time=0.0)
     fixed = dataclasses.replace(base, emission=dataclasses.replace(base.emission, duration=1e-6),
                                 detector_a=detector, detector_b=detector)
-    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 1.0e11), fixed=fixed)
-    with pytest.raises(RuntimeError, match=r"aborted at mean_rate = 100000000000.0: .* pairs"):
+    return SweepSpec(parameter="mean_rate", values=values, fixed=fixed)
+
+
+def test_sweep_abort_names_offending_value(monkeypatch, no_stray_process):
+    for values, shares in [
+        # every point fails; the lowest failing index is in the child's
+        # share, then in the parent's, each behind a higher one dealt to it
+        ((1.1e11, 1.0e11, 1.3e11, 1.2e11), [[1, 2], [0, 3]]),
+        ((1.0e11, 1.1e11, 1.3e11, 1.2e11), [[0, 2], [1, 3]]),
+        # the only failing point runs in the parent, and the child's succeeds
+        ((1.0e4, 1.0e11), [[1], [0]]),
+    ]:
+        spec = _pair_cap_sweep(values)
+        _processes(monkeypatch, spec, 1)
+        failing = next(v for v in spec.values if v >= 1.0e11)
+        with pytest.raises(RuntimeError, match=rf"aborted at mean_rate = {failing}: .* pairs") \
+                as serial:
+            run_sweep(spec)
+        _processes(monkeypatch, spec, 2)
+        assert harness._deal([s.emission.mean_rate for s in spec.scenarios], 2) == shares
+        with pytest.raises(RuntimeError) as forked:
+            run_sweep(spec)
+        assert str(forked.value) == str(serial.value)
+    assert no_stray_process.readouterr() == ("", "")
+
+
+def _killed_in_a_child(monkeypatch):
+    parent, run = os.getpid(), harness.run_scenario
+
+    def run_scenario(s):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(s)
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+
+
+def test_sweep_child_killed_by_a_signal_is_a_runtime_error(monkeypatch, no_stray_process):
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 2.0e4, 3.0e4), fixed=SMALL)
+    _processes(monkeypatch, spec, 2)
+    _killed_in_a_child(monkeypatch)
+    with pytest.raises(RuntimeError, match=rf"points \[0, 1\] ended by signal {signal.SIGKILL}"):
         run_sweep(spec)
+    assert no_stray_process.readouterr() == ("", "")
+
+
+def test_sweep_child_killed_by_a_signal_is_one_json_line(monkeypatch, no_stray_process, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"parameter": "mean_rate", "values": [1.0e4, 2.0e4],
+                                "scenario": {"seed": 1, "emission": {"duration": 0.01}}}))
+    _processes(monkeypatch, load_sweep_file(path), 2)
+    _killed_in_a_child(monkeypatch)
+    assert main(["sweep", str(path)]) == 2
+    out, err = no_stray_process.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "RuntimeError"
+    assert "ended by signal" in error["message"]
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def test_sweep_interrupted_in_the_parent_kills_and_reaps_its_children(monkeypatch,
+                                                                      no_stray_process):
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 2.0e4), fixed=SMALL)
+    _processes(monkeypatch, spec, 2)
+    parent = os.getpid()
+
+    def run_scenario(s):
+        if os.getpid() == parent:
+            raise _Interrupt
+        time.sleep(120)  # the child would outlive the test unless it is killed
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    with pytest.raises(_Interrupt):
+        run_sweep(spec)
+    assert no_stray_process.readouterr() == ("", "")
+
+
+def test_sweep_failure_in_the_parent_waits_out_a_large_child_payload(monkeypatch,
+                                                                     no_stray_process):
+    # 10,000 spectrum bins per configuration: a child's share pickles to
+    # more than a pipe holds, so the child blocks until the parent reads
+    fixed = dataclasses.replace(SMALL, emission=EmissionConfig(mean_rate=1.0e4, duration=0.001),
+                                spectrum_range=(-5000.0, 5000.0))
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4,) * 4, fixed=fixed)
+    _processes(monkeypatch, spec, 2)
+    child_share = [run_scenario(spec.scenarios[i]) for i in (1, 3)]
+    assert len(pickle.dumps(child_share, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
+    parent, run = os.getpid(), harness.run_scenario
+
+    def run_scenario_failing_in_the_parent(s):
+        if os.getpid() == parent:
+            raise ValueError("refused in the parent")
+        return run(s)
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario_failing_in_the_parent)
+    with pytest.raises(RuntimeError,
+                       match=r"^sweep aborted at mean_rate = 10000.0: refused in the parent$"):
+        run_sweep(spec)
+    assert no_stray_process.readouterr() == ("", "")
 
 
 def test_apply_sweep_value_semantics():
