@@ -56,8 +56,8 @@ from bellsim.source import NS_PER_SECOND
 from bellsim.validation import check_number, require_numbers
 
 MAX_SPECTRUM_BINS = 1_000_000
-# a gated pair takes 30 to 50 bytes of peak memory, so a cell stays under 2.5 GB,
-# and so does each process of a sweep, which runs one cell at a time
+# a gated pair takes 30 to 50 bytes of peak memory, so a cell stays under 2.5 GB;
+# a scenario's lanes and a sweep's processes each run one cell at a time
 MAX_PAIRS_PER_CELL = 50_000_000
 
 

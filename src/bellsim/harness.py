@@ -18,14 +18,26 @@ VARIANTS (raw, corrected_delayed, corrected_product, truth) then builds one
 count table from the configurations and computes its statistics on it, after
 subtracting the variant's accidentals if it has any. A coincidence curve
 point is configuration x at that relative angle, counted by the same cells.
+
+run_scenario, run_configuration and coincidence_curve run their cells on T
+lanes, T the least of the number of cells, the CPUs this process may run on,
+MAX_EMISSIONS_PER_CELL // the largest expected cell, so the cells running
+at once stay within one cell's emissions cap, and MAX_LANES, since each
+lane adds about one cell's working set to peak memory. Lane 0 is the calling
+thread and each other lane a thread that ends before the call returns;
+numpy's draws and array operations release the GIL, so the lanes overlap,
+and threads share the heap. A cell's weight is the number of polarisers it
+lacks, and each heavy cell is dealt beside a light one. The cells are
+summed per configuration in repeat order, so a report is byte-identical
+to a serial run's, because every cell's seed is its own.
+
 A sweep runs one scenario per value and returns their reports;
 sweep_csv_text writes them as a table. run_sweep splits the points over P
-processes, P the least of the number of points, the CPUs this process may
-run on, and MAX_EMISSIONS_PER_CELL // the largest expected cell, so the
-cells running at once stay within one cell's emissions cap. The parent runs
-one share and a forked child each other; the reports come back in point
-order, byte-identical to a serial run's, because every point's seed is its
-own. P is 1 where the platform cannot say which CPUs are usable, and
+processes, P bound as T is, by points in place of cells and without
+MAX_LANES, since each process runs one cell at a time. The parent runs one
+share and a forked child each other, each point on one lane; the reports
+come back in point order, byte-identical to a serial run's. P and
+T are 1 where the platform cannot say which CPUs are usable, and P is 1
 while another thread runs, since fork copies only the calling thread.
 
 A scenario is refused when it is parsed if a cell would expect more than
@@ -341,20 +353,122 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
     )
 
 
-def _run_configuration(s: ScenarioConfig, config_index: int, key: str) -> ConfigurationResult:
-    """The sum of the configuration's cells, one per repeat, starting from cell 0."""
-    cells = (_run_cell(s, config_index, r, key) for r in range(s.repeats))
-    return sum(cells, next(cells))
+# a lane adds about one cell's working set to a run's peak memory: 40
+# aspect-like runs in one process peaked at 45.5, 47.8-48.6, 51.3-52.2 and
+# 54.8-55.0 MB on 1, 2, 3 and 4 lanes, so two lanes keep the peak within a
+# tenth of a serial run's
+MAX_LANES = 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _workers(jobs: int, largest: float) -> int:
+    """How many of jobs to run at once: one per usable CPU, and together within one cell's cap.
+
+    largest is the largest expected cell among them, so the cells running at
+    once expect at most MAX_EMISSIONS_PER_CELL emissions together.
+    """
+    return int(min(jobs, _usable_cpus(), MAX_EMISSIONS_PER_CELL // max(1.0, largest)))
+
+
+def _lane_shares(weights: Sequence[float], lanes: int) -> list[list[int]]:
+    """Cell indices per lane: heaviest and lightest alternate, dealt in turn; each share in order.
+
+    So a heavy cell runs beside a light one, and with one lane the cells run
+    in the order a serial run takes them.
+    """
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])  # stable: ties in order
+    paired = [i for pair in zip(order, reversed(order)) for i in pair][:len(order)]
+    return [sorted(paired[lane::lanes]) for lane in range(lanes)]
+
+
+def _run_lane(cells: list, indices: Sequence[int], outcomes: list, failed: list[int]) -> None:
+    """_run_cell on the cells at indices, in order, into outcomes; never raises or prints.
+
+    A cell's exception takes the place of its result and its index goes on
+    failed. A lane ends at a cell above an index on failed, its own or
+    another lane's, since a serial run would not reach it. A lane that reads
+    failed just before another appends to it runs one cell more than
+    needed; the lowest failing index is the same, since the lane that holds
+    it runs its cells in order and skips none below it.
+    """
+    for i in indices:
+        if failed and i > min(failed):
+            return
+        try:
+            outcomes[i] = _run_cell(*cells[i])
+        except BaseException as exc:  # handed back to the calling thread, which raises it
+            outcomes[i] = exc
+            failed.append(i)
+
+
+def _run_cells(cells: list, lanes: int) -> list[ConfigurationResult]:
+    """_run_cell on each (scenario, configuration index, repeat, key) cell, over lanes threads.
+
+    Lane 0 is the calling thread and each other lane a thread of its own,
+    which shares the heap, so no page is copied. A cell's weight is the
+    number of polarisers it lacks, since a polariser only removes clicks.
+    The results come back in cell order. Once every lane has ended, a
+    failure raises the error of the lowest failing cell, as a serial run
+    would.
+    """
+    outcomes: list = [None] * len(cells)
+    failed: list[int] = []
+    shares = _lane_shares([sum(p is ABSENT for p in s.polariser_settings(key))
+                           for s, _, _, key in cells], lanes)
+    started = []
+    try:
+        for share in shares[1:]:
+            lane = threading.Thread(target=_run_lane, args=(cells, share, outcomes, failed))
+            lane.start()
+            started.append(lane)
+        _run_lane(cells, shares[0], outcomes, failed)
+    finally:
+        for lane in started:
+            lane.join()
+    if failed:
+        raise outcomes[min(failed)]
+    return outcomes
+
+
+def _run_configurations(jobs: Sequence[tuple[ScenarioConfig, int, str]],
+                        lanes: int | None = None) -> list[ConfigurationResult]:
+    """Per (scenario, configuration index, key) job, the sum of its cells, in repeat order.
+
+    The cells of every job run together over lanes threads, by default
+    _workers(number of cells, the largest expected cell) but at most MAX_LANES.
+    """
+    cells = [(s, ci, r, key) for s, ci, key in jobs for r in range(s.repeats)]
+    if lanes is None:
+        lanes = min(MAX_LANES, _workers(len(cells),
+                                        max(s.expected_cell_size for s, _, _ in jobs)))
+    results = _run_cells(cells, lanes)
+    sums, start = [], 0
+    for s, _, _ in jobs:
+        first, *rest = results[start:start + s.repeats]
+        sums.append(sum(rest, first))
+        start += s.repeats
+    return sums
 
 
 def run_configuration(s: ScenarioConfig, key: str) -> ConfigurationResult:
     """One configuration of run_scenario, alone: the same cells, so the same result."""
-    return _run_configuration(s, CONFIG_KEYS.index(key), key)
+    return _run_configurations([(s, CONFIG_KEYS.index(key), key)])[0]
 
 
 def run_scenario(s: ScenarioConfig) -> ScenarioReport:
     """Simulate all four configurations and compute every report variant."""
-    results = {key: _run_configuration(s, ci, key) for ci, key in enumerate(CONFIG_KEYS)}
+    return _run_scenario(s, None)
+
+
+def _run_scenario(s: ScenarioConfig, lanes: int | None) -> ScenarioReport:
+    """run_scenario with its cells on lanes threads, or as many as _run_configurations picks."""
+    results = dict(zip(CONFIG_KEYS, _run_configurations(
+        [(s, ci, key) for ci, key in enumerate(CONFIG_KEYS)], lanes)))
     counts, reports = {}, {}
     for variant, (count_field, acc_field, label) in VARIANTS.items():
         fields = {k: getattr(c, count_field) for k, c in results.items()}
@@ -374,9 +488,10 @@ def coincidence_curve(s: ScenarioConfig, relative_angles: Sequence[float]) -> li
     configurations (index 4 + i), so the curve is reproducible and
     independent of the standard runs.
     """
-    return [(float(rel), _run_configuration(dataclasses.replace(s, relative_angle_x=rel),
-                                            4 + i, "x").raw_count)
-            for i, rel in enumerate(relative_angles)]
+    angles = [float(rel) for rel in relative_angles]
+    results = _run_configurations([(dataclasses.replace(s, relative_angle_x=rel), 4 + i, "x")
+                                   for i, rel in enumerate(angles)])
+    return [(rel, c.raw_count) for rel, c in zip(angles, results)]
 
 
 # sweep parameter -> the scenario with that parameter set to a value
@@ -459,19 +574,11 @@ def sweep_csv_text(spec: SweepSpec, reports: Sequence[ScenarioReport]) -> str:
     return buf.getvalue()
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else len(affinity(0))
-
-
 def _sweep_processes(spec: SweepSpec) -> int:
     """How many processes run_sweep splits spec's points over."""
     if threading.active_count() > 1:
         return 1  # fork copies only this thread, and a lock another thread holds stays held
-    largest = max(s.expected_cell_size for s in spec.scenarios)
-    return int(min(len(spec.scenarios), _usable_cpus(),
-                   MAX_EMISSIONS_PER_CELL // max(1.0, largest)))
+    return _workers(len(spec.scenarios), max(s.expected_cell_size for s in spec.scenarios))
 
 
 def _deal(weights: Sequence[float], processes: int) -> list[list[int]]:
@@ -490,11 +597,14 @@ def _deal(weights: Sequence[float], processes: int) -> list[list[int]]:
 
 
 def _run_share(spec: SweepSpec, indices: list[int]):
-    """Reports of the points at indices, in order, and the first failure as (index, exception)."""
+    """Reports of the points at indices, in order, and the first failure as (index, exception).
+
+    Each point runs on one lane: the sweep's processes already fill the CPUs.
+    """
     reports = []
     for i in indices:
         try:
-            reports.append(run_scenario(spec.scenarios[i]))
+            reports.append(_run_scenario(spec.scenarios[i], 1))
         except Exception as exc:
             return reports, (i, exc)
     return reports, None

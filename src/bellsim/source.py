@@ -21,8 +21,8 @@ from bellsim.validation import check_choice, require_numbers
 
 NS_PER_SECOND = 1.0e9
 # a cell's peak memory grows by about 150 bytes per emission, so this keeps
-# a run under about 3 GB: a process runs one cell at a time, and a sweep
-# runs only as many processes as their largest cells fit under it together
+# a run under about 3 GB: a scenario runs only as many cells at once, and a
+# sweep only as many processes, as their largest cells fit under it together
 MAX_EMISSIONS_PER_CELL = 20_000_000
 
 PROCESSES = ("poisson", "min_separation")

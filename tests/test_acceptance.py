@@ -1,4 +1,4 @@
-"""Acceptance suite: criteria 1 to 8, 10 and 13, one printed PASS/FAIL line each.
+"""Acceptance suite: criteria 1 to 8, 10, 12 and 13, one printed PASS/FAIL line each.
 
 Each criterion prints a verdict line even under pytest's output capture so a
 plain `pytest tests/test_acceptance.py` run shows every result at a
@@ -242,6 +242,39 @@ def test_criterion_10_one_orientation_cannot_show_rotational_invariance(capsys):
     _verdict(capsys, 10, "a fixed hidden variable violates at one orientation only",
              ok, f"fixed s_std {s_std['fixed', 0.0].min():.3f} min at 0, "
              f"{s_std['fixed', math.pi / 4.0].max():.3f} max at pi/4; uniform gap "
+             f"{gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")
+
+
+def test_criterion_12_efficiency_that_follows_the_hidden_variable_opens_the_loophole(capsys):
+    # the paper's "well-known detection loophole": a cosine_modulated
+    # efficiency falls as sin^2 of the angle between the hidden variable
+    # and the polariser, so which emissions click depends on the hidden
+    # variable. x / y sees only the detected sub-ensemble and s_std breaks
+    # its limit with no subtraction; s_freedman divides by Z, whose clicks
+    # carry no polariser, and reads as without the modulation
+    start = time.perf_counter()
+    base = aspect_like()
+    emission = dataclasses.replace(base.emission, mean_rate=2.0e4, duration=0.5)
+    stats = {}
+    for depth in (1.0, 0.0):
+        detector = dataclasses.replace(base.detector_a, efficiency_fn="cosine_modulated",
+                                       modulation_depth=depth)
+        raw = [_values(run_scenario(dataclasses.replace(
+            base, emission=emission, detector_a=detector, detector_b=detector, seed=seed)
+        ).reports["raw"]) for seed in range(10)]
+        stats[depth] = {name: np.array([r[name] for r in raw]) for name in ("s_std", "s_freedman")}
+    elapsed = time.perf_counter() - start
+    limit = LIMITS["s_std"]
+    loophole_ok = bool((stats[1.0]["s_std"] > limit).all()
+                       and (stats[0.0]["s_std"] <= limit).all())
+    freedman = [stats[depth]["s_freedman"] for depth in (1.0, 0.0)]
+    gap = abs(float(freedman[0].mean() - freedman[1].mean()))
+    # standard errors of the two 10-seed means, combined
+    sigma = math.sqrt(sum(float(v.var(ddof=1)) / v.size for v in freedman))
+    ok = loophole_ok and gap <= 3.0 * sigma
+    _verdict(capsys, 12, "a hidden-variable efficiency violates s_std raw, s_freedman holds",
+             ok, f"s_std {stats[1.0]['s_std'].min():.3f} min at depth 1, "
+             f"{stats[0.0]['s_std'].max():.3f} max at depth 0; s_freedman gap "
              f"{gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")
 
 

@@ -24,7 +24,7 @@ from bellsim.coincidence import (
     searchsorted_by_difference,
 )
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
-from bellsim.harness import CONFIG_KEYS, _run_configuration
+from bellsim.harness import CONFIG_KEYS, run_configuration
 from bellsim.presets import PRESETS
 from bellsim.source import EmissionConfig, generate_emissions
 
@@ -242,8 +242,8 @@ def _gate_calls(monkeypatch, s) -> int:
         return gate(*args)
 
     monkeypatch.setattr(bellsim.coincidence, "_pair_ranges", counted)
-    for ci, key in enumerate(CONFIG_KEYS):
-        _run_configuration(s, ci, key)
+    for key in CONFIG_KEYS:
+        run_configuration(s, key)
     monkeypatch.undo()
     return len(calls)
 

@@ -9,9 +9,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 
 import pytest
 
+from bellsim import harness
 from bellsim.cli import main
 from bellsim.harness import (SweepSpec, coincidence_curve, reanalyze_counts, run_scenario,
                              run_sweep, sweep_csv_text)
@@ -131,6 +133,21 @@ def test_fixed_hidden_variable_report_digest():
 def test_sweep_csv_digest():
     spec = SweepSpec(parameter="mean_rate", values=(1.0e5, 1.0e6),
                      fixed=_short(aspect_like(), seed=5))
+    assert _sha256(sweep_csv_text(spec, run_sweep(spec))) == SWEEP_CSV_DIGEST
+
+
+def test_sweep_csv_digest_with_forked_points_starts_no_thread(monkeypatch):
+    # each process runs its points on one lane; a lane started in a child
+    # fails its point, and so the sweep
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e5, 1.0e6),
+                     fixed=_short(aspect_like(), seed=5))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert harness._sweep_processes(spec) == 2
+
+    def start(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     assert _sha256(sweep_csv_text(spec, run_sweep(spec))) == SWEEP_CSV_DIGEST
 
 

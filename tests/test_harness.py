@@ -7,6 +7,8 @@ import os
 import pickle
 import re
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -37,6 +39,7 @@ from bellsim.harness import (
     derive_rngs,
     parse_counts_file,
     reanalyze_counts,
+    run_configuration,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -44,6 +47,7 @@ from bellsim.harness import (
 )
 from bellsim.presets import (
     PRESETS,
+    aspect_like,
     bundled_counts_path,
     load_scenario_file,
     load_sweep_file,
@@ -470,14 +474,14 @@ def test_sweep_abort_names_offending_value(monkeypatch, no_stray_process):
 
 
 def _killed_in_a_child(monkeypatch):
-    parent, run = os.getpid(), harness.run_scenario
+    parent, run = os.getpid(), harness._run_scenario
 
-    def run_scenario(s):
+    def run_scenario(s, lanes):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run(s)
+        return run(s, lanes)
 
-    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    monkeypatch.setattr(harness, "_run_scenario", run_scenario)
 
 
 def test_sweep_child_killed_by_a_signal_is_a_runtime_error(monkeypatch, no_stray_process):
@@ -514,12 +518,12 @@ def test_sweep_interrupted_in_the_parent_kills_and_reaps_its_children(monkeypatc
     _processes(monkeypatch, spec, 2)
     parent = os.getpid()
 
-    def run_scenario(s):
+    def run_scenario(s, lanes):
         if os.getpid() == parent:
             raise _Interrupt
         time.sleep(120)  # the child would outlive the test unless it is killed
 
-    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    monkeypatch.setattr(harness, "_run_scenario", run_scenario)
     with pytest.raises(_Interrupt):
         run_sweep(spec)
     assert no_stray_process.readouterr() == ("", "")
@@ -535,17 +539,247 @@ def test_sweep_failure_in_the_parent_waits_out_a_large_child_payload(monkeypatch
     _processes(monkeypatch, spec, 2)
     child_share = [run_scenario(spec.scenarios[i]) for i in (1, 3)]
     assert len(pickle.dumps(child_share, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
-    parent, run = os.getpid(), harness.run_scenario
+    parent, run = os.getpid(), harness._run_scenario
 
-    def run_scenario_failing_in_the_parent(s):
+    def run_scenario_failing_in_the_parent(s, lanes):
         if os.getpid() == parent:
             raise ValueError("refused in the parent")
-        return run(s)
+        return run(s, lanes)
 
-    monkeypatch.setattr(harness, "run_scenario", run_scenario_failing_in_the_parent)
+    monkeypatch.setattr(harness, "_run_scenario", run_scenario_failing_in_the_parent)
     with pytest.raises(RuntimeError,
                        match=r"^sweep aborted at mean_rate = 10000.0: refused in the parent$"):
         run_sweep(spec)
+    assert no_stray_process.readouterr() == ("", "")
+
+
+def _short(scenario, duration, **changes):
+    return dataclasses.replace(
+        scenario, emission=dataclasses.replace(scenario.emission, duration=duration), **changes)
+
+
+def _cosine_modulated():
+    base = aspect_like()
+    detector = dataclasses.replace(base.detector_a, efficiency_fn="cosine_modulated",
+                                   modulation_depth=1.0)
+    return _short(base, 0.01, seed=6, detector_a=detector, detector_b=detector)
+
+
+# 4 x repeats cells of about 2,000 emissions (wave: 400, with multi-click sides)
+LANE_SCENARIOS = {
+    "aspect-like": _short(aspect_like(), 0.01, seed=1),
+    "aspect-like, 3 repeats": _short(aspect_like(), 0.01, seed=2, repeats=3),
+    "freedman-like": _short(PRESETS["freedman-like"](), 0.02, seed=3),
+    "wave-like, multi-click": _wave_sweep((3.0,)).scenarios[0],
+    "cosine_modulated": _cosine_modulated(),
+}
+
+
+def _on_cpus(monkeypatch, cpus, run, max_lanes=harness.MAX_LANES):
+    """run() on cpus usable CPUs and max_lanes lanes at most: its result, its cells' threads."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "MAX_LANES", max_lanes)
+    threads, run_cell = [], harness._run_cell
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return run_cell(*args)
+
+    monkeypatch.setattr(harness, "_run_cell", recorded)
+    try:
+        result = run()
+    finally:
+        monkeypatch.setattr(harness, "_run_cell", run_cell)
+    return result, len(set(threads))
+
+
+def _configuration_json(c) -> str:
+    tallies = ("true_pairs", "accidental_pairs", "inclusion_inside", "inclusion_total")
+    return json.dumps({**c.to_dict(), **{name: getattr(c, name) for name in tallies}},
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("name", LANE_SCENARIOS)
+def test_results_do_not_depend_on_the_lane_count(monkeypatch, capfd, name):
+    s = LANE_SCENARIOS[name]
+    angles = [0.0, 0.4, 0.8]
+    outputs = []
+    # the lane cap, and above it, to run the lanes on more threads than it allows
+    for cpus, max_lanes in [(1, 2), (2, 2), (3, 2), (8, 2), (3, 8), (8, 8)]:
+        def on_cpus(run):
+            return _on_cpus(monkeypatch, cpus, run, max_lanes)
+
+        report, lanes = on_cpus(lambda: run_scenario(s))
+        assert lanes == min(cpus, max_lanes, 4 * s.repeats)
+        configurations = []
+        for key in CONFIG_KEYS:
+            c, lanes = on_cpus(lambda: run_configuration(s, key))
+            assert lanes == min(cpus, max_lanes, s.repeats)
+            configurations.append(_configuration_json(c))
+            assert configurations[-1] == _configuration_json(report.configurations[key])
+        curve, lanes = on_cpus(lambda: coincidence_curve(s, angles))
+        assert lanes == min(cpus, max_lanes, len(angles) * s.repeats)
+        outputs.append((json.dumps(report.to_dict(), sort_keys=True), configurations, curve))
+    assert all(output == outputs[0] for output in outputs)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_lane_count_is_bounded_by_cells_cpus_the_memory_cap_and_max_lanes(monkeypatch):
+    s = LANE_SCENARIOS["aspect-like, 3 repeats"]
+    serial, lanes = _on_cpus(monkeypatch, 1, lambda: run_scenario(s))
+    assert lanes == 1
+    _, lanes = _on_cpus(monkeypatch, 8, lambda: run_scenario(s))
+    assert lanes == harness.MAX_LANES == 2
+    _, lanes = _on_cpus(monkeypatch, 8, lambda: run_scenario(s), max_lanes=8)
+    assert lanes == 8
+    # the cells running at once stay within one cell's emissions cap
+    monkeypatch.setattr(harness, "MAX_EMISSIONS_PER_CELL", 2.5 * s.expected_cell_size)
+    report, lanes = _on_cpus(monkeypatch, 8, lambda: run_scenario(s), max_lanes=8)
+    assert lanes == 2
+    assert report.to_dict() == serial.to_dict()
+    # a multi-click side's expected clicks count where they exceed the emissions
+    wave = LANE_SCENARIOS["wave-like, multi-click"]
+    assert wave.expected_cell_size > wave.emission.mean_rate * wave.emission.duration
+    monkeypatch.setattr(harness, "MAX_EMISSIONS_PER_CELL", 3.5 * wave.expected_cell_size)
+    _, lanes = _on_cpus(monkeypatch, 8, lambda: run_scenario(wave), max_lanes=8)
+    assert lanes == 3
+    # a sweep's share runs its points on one lane
+    _, lanes = _on_cpus(monkeypatch, 8, lambda: harness._run_scenario(s, 1), max_lanes=8)
+    assert lanes == 1
+
+
+def test_cells_are_dealt_heaviest_beside_lightest():
+    # x, y, z, Z lack 0, 0, 1 and 2 polarisers: z then Z beside x then y
+    assert harness._lane_shares([0, 0, 1, 2], 2) == [[2, 3], [0, 1]]
+    assert harness._lane_shares([0, 0, 1, 2], 3) == [[0, 3], [1], [2]]
+    assert harness._lane_shares([0, 0, 1, 2], 4) == [[3], [1], [2], [0]]
+    assert harness._lane_shares([0, 0, 0, 0, 1, 1, 2, 2], 2) == [[4, 5, 6, 7], [0, 1, 2, 3]]
+    assert harness._lane_shares([0, 0, 1, 2], 1) == [[0, 1, 2, 3]]
+
+
+class _CellError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus, failing, failing_lanes", [
+    # two repeats: cells x0 x1 y0 y1 z0 z1 Z0 Z1; lane 0 is the calling thread
+    (2, {2}, {1}),
+    (2, {5, 7}, {0}),
+    (2, {3, 4}, {0, 1}),  # lane 1 holds the lowest
+    (3, {2, 3}, {0, 1}),  # lane 0 holds the lowest
+    (3, {0, 1}, {1, 2}),
+], ids=["lane-1", "lane-0", "both", "both-lane-0-lowest", "lanes-1-and-2"])
+def test_a_failed_cell_raises_the_serial_runs_error(monkeypatch, capfd, cpus, failing,
+                                                    failing_lanes):
+    s = dataclasses.replace(SMALL, repeats=2)
+    shares = harness._lane_shares([0, 0, 0, 0, 1, 1, 2, 2], cpus)
+    assert {lane for lane, share in enumerate(shares) if failing & set(share)} == failing_lanes
+    run_cell = harness._run_cell
+
+    def failing_cell(s, config_index, repeat, key):
+        if 2 * config_index + repeat in failing:
+            raise _CellError(f"cell {config_index}, {repeat}")
+        return run_cell(s, config_index, repeat, key)
+
+    monkeypatch.setattr(harness, "_run_cell", failing_cell)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "MAX_LANES", cpus)
+    with pytest.raises(_CellError) as serial:
+        run_scenario(s)
+    lowest = min(failing)
+    assert str(serial.value) == f"cell {lowest // 2}, {lowest % 2}"
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(_CellError) as threaded:
+        run_scenario(s)
+    assert str(threaded.value) == str(serial.value)
+    assert threading.active_count() == before
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_lane_ends_above_another_lanes_failure(monkeypatch, capfd):
+    # lane 1 fails at x0 (cell 0) while lane 0 runs z0 (cell 4); lane 0 then
+    # runs no more cells, as a serial run ends at cell 0
+    s = dataclasses.replace(SMALL, repeats=2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    ran, lane_1 = [], []
+    ready, go = threading.Event(), threading.Event()
+    run_cell = harness._run_cell
+
+    def cell(s, config_index, repeat, key):
+        index = 2 * config_index + repeat
+        ran.append(index)
+        if index == 0:
+            lane_1.append(threading.current_thread())
+            ready.set()
+            go.wait(10)
+            raise _CellError("cell 0, 0")
+        if index == 4:
+            ready.wait(10)
+            go.set()
+            lane_1[0].join(10)  # lane 1 has failed and ended
+        return run_cell(s, config_index, repeat, key)
+
+    monkeypatch.setattr(harness, "_run_cell", cell)
+    with pytest.raises(_CellError, match=r"^cell 0, 0$"):
+        run_scenario(s)
+    assert not lane_1[0].is_alive()
+    assert sorted(ran) == [0, 4]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_more_lanes_than_cores_under_a_short_switch_interval(monkeypatch, capfd):
+    # 24 small cells on 8 lanes that switch every microsecond: every cell's
+    # result lands in its own slot, and of many failures the lowest is raised
+    s = dataclasses.replace(SMALL, emission=EmissionConfig(mean_rate=4.0e4, duration=0.005),
+                            repeats=6)
+    serial, _ = _on_cpus(monkeypatch, 1, lambda: run_scenario(s))
+    run_cell = harness._run_cell
+
+    def failing_cell(s, config_index, repeat, key):
+        if (config_index, repeat) in ((2, 5), (1, 3), (3, 0), (1, 4)):
+            raise _CellError(f"cell {config_index}, {repeat}")
+        return run_cell(s, config_index, repeat, key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            report, lanes = _on_cpus(monkeypatch, 8, lambda: run_scenario(s), max_lanes=8)
+            assert lanes == 8
+            assert report.to_dict() == serial.to_dict()
+        monkeypatch.setattr(harness, "_run_cell", failing_cell)
+        for _ in range(5):
+            with pytest.raises(_CellError, match=r"^cell 1, 3$"):
+                run_scenario(s)
+    finally:
+        sys.setswitchinterval(interval)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_interrupt_in_a_lane_thread_reaches_the_caller(monkeypatch, capfd):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    run_cell = harness._run_cell
+
+    def interrupted(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise _Interrupt
+        return run_cell(*args)
+
+    monkeypatch.setattr(harness, "_run_cell", interrupted)
+    before = threading.active_count()
+    with pytest.raises(_Interrupt):
+        run_scenario(SMALL)
+    assert threading.active_count() == before
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_sweep_still_forks_after_a_threaded_run_scenario(monkeypatch, no_stray_process):
+    spec = SweepSpec(parameter="mean_rate", values=(1.0e4, 2.0e4), fixed=SMALL)
+    _processes(monkeypatch, spec, 2)
+    _, lanes = _on_cpus(monkeypatch, 2, lambda: run_scenario(SMALL))
+    assert lanes == 2
+    assert harness._sweep_processes(spec) == 2
     assert no_stray_process.readouterr() == ("", "")
 
 
