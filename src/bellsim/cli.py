@@ -48,9 +48,10 @@ def _keep_freed_memory() -> None:
     and the mmap threshold alone left 3,500 to 5,100 per run. Arrays over
     32 MiB still get their own mapping and are unmapped when freed, so the
     memory kept is at most the working set of the cells that run at once.
-    A scenario's cells run on threads (harness._run_cells), and glibc gives
-    each thread that contends for the heap an arena of its own, which keeps
-    its own free pages. One arena (M_ARENA_MAX) lets every lane reuse one
+    A scenario whose cells reach harness.MIN_LANE_CELL runs them on threads
+    (harness._run_configurations), and glibc gives each thread that
+    contends for the heap an arena of its own, which keeps its own free
+    pages. One arena (M_ARENA_MAX) lets every lane reuse one
     kept heap: 40 aspect-like simulate runs on two lanes, in one process on
     a 2-core machine, peaked at 48.0 to 48.3 MB with it and 48.9 to 49.3 MB
     without (serial: 45.0 to 45.2 MB). A process that starts no thread never

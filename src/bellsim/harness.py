@@ -23,13 +23,16 @@ run_scenario, run_configuration and coincidence_curve run their cells on T
 lanes, T the least of the number of cells, the CPUs this process may run on,
 MAX_EMISSIONS_PER_CELL // the largest expected cell, so the cells running
 at once stay within one cell's emissions cap, and MAX_LANES, since each
-lane adds about one cell's working set to peak memory. Lane 0 is the calling
+lane adds about one cell's working set to peak memory; T is 1 when the
+largest expected cell is below MIN_LANE_CELL. Lane 0 is the calling
 thread and each other lane a thread that ends before the call returns;
 numpy's draws and array operations release the GIL, so the lanes overlap,
-and threads share the heap. A cell's weight is the number of polarisers it
-lacks, and each heavy cell is dealt beside a light one. The cells are
-summed per configuration in repeat order, so a report is byte-identical
-to a serial run's, because every cell's seed is its own.
+and threads share the heap. Lane k runs the k-th of T contiguous blocks of
+the cells, which come in (configuration, repeat) order: x, y, z, Z. A
+polariser only removes clicks, so on two lanes x and y run beside the
+heavier z and Z. The cells are summed per configuration in repeat order,
+so a report is byte-identical to a serial run's, because every cell's
+seed is its own.
 
 A sweep runs one scenario per value and returns their reports;
 sweep_csv_text writes them as a table. run_sweep splits the points over P
@@ -359,6 +362,14 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
 # tenth of a serial run's
 MAX_LANES = 2
 
+# a scenario whose largest expected cell is smaller runs on one lane, since
+# a second lane's thread costs more than it overlaps: in process on a 2-core
+# machine, 2 lanes against 1 ran aspect-like at 0.58-0.65x for cells of 200
+# to 2k emissions, 0.81, 0.95, 1.06, 1.11, 1.17 and 1.37x at 4k, 6k, 8k,
+# 10k, 12k and 20k, and freedman-like at 0.86, 0.93, 0.88, 1.22 and 1.42x
+# at 4k, 8k, 10k, 12k and 20k
+MIN_LANE_CELL = 12_000
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
@@ -373,17 +384,6 @@ def _workers(jobs: int, largest: float) -> int:
     once expect at most MAX_EMISSIONS_PER_CELL emissions together.
     """
     return int(min(jobs, _usable_cpus(), MAX_EMISSIONS_PER_CELL // max(1.0, largest)))
-
-
-def _lane_shares(weights: Sequence[float], lanes: int) -> list[list[int]]:
-    """Cell indices per lane: heaviest and lightest alternate, dealt in turn; each share in order.
-
-    So a heavy cell runs beside a light one, and with one lane the cells run
-    in the order a serial run takes them.
-    """
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])  # stable: ties in order
-    paired = [i for pair in zip(order, reversed(order)) for i in pair][:len(order)]
-    return [sorted(paired[lane::lanes]) for lane in range(lanes)]
 
 
 def _run_lane(cells: list, indices: Sequence[int], outcomes: list, failed: list[int]) -> None:
@@ -406,50 +406,40 @@ def _run_lane(cells: list, indices: Sequence[int], outcomes: list, failed: list[
             failed.append(i)
 
 
-def _run_cells(cells: list, lanes: int) -> list[ConfigurationResult]:
-    """_run_cell on each (scenario, configuration index, repeat, key) cell, over lanes threads.
-
-    Lane 0 is the calling thread and each other lane a thread of its own,
-    which shares the heap, so no page is copied. A cell's weight is the
-    number of polarisers it lacks, since a polariser only removes clicks.
-    The results come back in cell order. Once every lane has ended, a
-    failure raises the error of the lowest failing cell, as a serial run
-    would.
-    """
-    outcomes: list = [None] * len(cells)
-    failed: list[int] = []
-    shares = _lane_shares([sum(p is ABSENT for p in s.polariser_settings(key))
-                           for s, _, _, key in cells], lanes)
-    started = []
-    try:
-        for share in shares[1:]:
-            lane = threading.Thread(target=_run_lane, args=(cells, share, outcomes, failed))
-            lane.start()
-            started.append(lane)
-        _run_lane(cells, shares[0], outcomes, failed)
-    finally:
-        for lane in started:
-            lane.join()
-    if failed:
-        raise outcomes[min(failed)]
-    return outcomes
-
-
 def _run_configurations(jobs: Sequence[tuple[ScenarioConfig, int, str]],
                         lanes: int | None = None) -> list[ConfigurationResult]:
     """Per (scenario, configuration index, key) job, the sum of its cells, in repeat order.
 
     The cells of every job run together over lanes threads, by default
-    _workers(number of cells, the largest expected cell) but at most MAX_LANES.
+    _workers(number of cells, the largest expected cell) but at most
+    MAX_LANES, and 1 if that cell is below MIN_LANE_CELL. Lane k runs the
+    k-th of lanes contiguous blocks of the cells, in order: lane 0 on the
+    calling thread, each other on a thread of its own. Once every lane has ended, a failure
+    raises the error of the lowest failing cell, as a serial run would.
     """
     cells = [(s, ci, r, key) for s, ci, key in jobs for r in range(s.repeats)]
+    n = len(cells)
     if lanes is None:
-        lanes = min(MAX_LANES, _workers(len(cells),
-                                        max(s.expected_cell_size for s, _, _ in jobs)))
-    results = _run_cells(cells, lanes)
+        largest = max(s.expected_cell_size for s, _, _ in jobs)
+        lanes = 1 if largest < MIN_LANE_CELL else min(MAX_LANES, _workers(n, largest))
+    blocks = [range(n * k // lanes, n * (k + 1) // lanes) for k in range(lanes)]
+    outcomes: list = [None] * n
+    failed: list[int] = []
+    started = []
+    try:
+        for block in blocks[1:]:
+            lane = threading.Thread(target=_run_lane, args=(cells, block, outcomes, failed))
+            lane.start()
+            started.append(lane)
+        _run_lane(cells, blocks[0], outcomes, failed)
+    finally:
+        for lane in started:
+            lane.join()
+    if failed:
+        raise outcomes[min(failed)]
     sums, start = [], 0
     for s, _, _ in jobs:
-        first, *rest = results[start:start + s.repeats]
+        first, *rest = outcomes[start:start + s.repeats]
         sums.append(sum(rest, first))
         start += s.repeats
     return sums

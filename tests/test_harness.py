@@ -575,22 +575,41 @@ LANE_SCENARIOS = {
 }
 
 
-def _on_cpus(monkeypatch, cpus, run, max_lanes=harness.MAX_LANES):
-    """run() on cpus usable CPUs and max_lanes lanes at most: its result, its cells' threads."""
+def _lanes(monkeypatch, cpus, max_lanes=harness.MAX_LANES, min_lane_cell=0):
+    """Let a scenario run on cpus usable CPUs and max_lanes lanes at most.
+
+    By default with no floor, so that cells of any size may share the lanes.
+    """
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(harness, "MAX_LANES", max_lanes)
-    threads, run_cell = [], harness._run_cell
+    monkeypatch.setattr(harness, "MIN_LANE_CELL", min_lane_cell)
 
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return run_cell(*args)
+
+def _cells_by_lane(monkeypatch, cpus, run, max_lanes=harness.MAX_LANES, min_lane_cell=0):
+    """run() under _lanes: its result and the (configuration index, repeat) cells of each lane.
+
+    Each lane's cells are in the order it ran them: lane 0's, the calling
+    thread's, first, then each other lane's, by its first cell.
+    """
+    _lanes(monkeypatch, cpus, max_lanes, min_lane_cell)
+    ran, run_cell = {}, harness._run_cell
+
+    def recorded(s, config_index, repeat, key):
+        ran.setdefault(threading.current_thread(), []).append((config_index, repeat))
+        return run_cell(s, config_index, repeat, key)
 
     monkeypatch.setattr(harness, "_run_cell", recorded)
     try:
         result = run()
     finally:
         monkeypatch.setattr(harness, "_run_cell", run_cell)
-    return result, len(set(threads))
+    return result, [ran.pop(threading.main_thread()), *sorted(ran.values())]
+
+
+def _on_cpus(monkeypatch, cpus, run, max_lanes=harness.MAX_LANES, min_lane_cell=0):
+    """run() under _lanes: its result and the number of lanes that ran its cells."""
+    result, lanes = _cells_by_lane(monkeypatch, cpus, run, max_lanes, min_lane_cell)
+    return result, len(lanes)
 
 
 def _configuration_json(c) -> str:
@@ -648,13 +667,34 @@ def test_lane_count_is_bounded_by_cells_cpus_the_memory_cap_and_max_lanes(monkey
     assert lanes == 1
 
 
-def test_cells_are_dealt_heaviest_beside_lightest():
-    # x, y, z, Z lack 0, 0, 1 and 2 polarisers: z then Z beside x then y
-    assert harness._lane_shares([0, 0, 1, 2], 2) == [[2, 3], [0, 1]]
-    assert harness._lane_shares([0, 0, 1, 2], 3) == [[0, 3], [1], [2]]
-    assert harness._lane_shares([0, 0, 1, 2], 4) == [[3], [1], [2], [0]]
-    assert harness._lane_shares([0, 0, 0, 0, 1, 1, 2, 2], 2) == [[4, 5, 6, 7], [0, 1, 2, 3]]
-    assert harness._lane_shares([0, 0, 1, 2], 1) == [[0, 1, 2, 3]]
+def _shares(monkeypatch, s, lanes):
+    """run_scenario(s)'s cells per lane as under _cells_by_lane, named key and repeat."""
+    _, shares = _cells_by_lane(monkeypatch, lanes, lambda: run_scenario(s), lanes)
+    return [" ".join(f"{CONFIG_KEYS[ci]}{r}" for ci, r in share) for share in shares]
+
+
+def test_cells_are_dealt_heaviest_beside_lightest(monkeypatch):
+    # x, y, z, Z lack 0, 0, 1 and 2 polarisers: on two lanes x then y run
+    # beside z then Z, whatever the repeats
+    for repeats, shares in [(1, ["x0 y0", "z0 Z0"]),
+                            (2, ["x0 x1 y0 y1", "z0 z1 Z0 Z1"]),
+                            (3, ["x0 x1 x2 y0 y1 y2", "z0 z1 z2 Z0 Z1 Z2"])]:
+        assert _shares(monkeypatch, dataclasses.replace(SMALL, repeats=repeats), 2) == shares
+    # lane k runs the k-th of the contiguous blocks, each in order
+    assert _shares(monkeypatch, SMALL, 1) == ["x0 y0 z0 Z0"]
+    assert _shares(monkeypatch, SMALL, 3) == ["x0", "y0", "z0 Z0"]
+    assert _shares(monkeypatch, SMALL, 4) == ["x0", "y0", "z0", "Z0"]
+
+
+def test_a_scenario_of_small_cells_runs_on_one_lane(monkeypatch):
+    # two CPUs and MAX_LANES allow two lanes: the floor alone decides
+    floor, rate = harness.MIN_LANE_CELL, aspect_like().emission.mean_rate
+    for cells, lanes in [(0.95 * floor, 1), (1.05 * floor, 2)]:
+        s = _short(aspect_like(), cells / rate, seed=7)
+        serial, _ = _on_cpus(monkeypatch, 1, lambda: run_scenario(s))
+        report, used = _on_cpus(monkeypatch, 2, lambda: run_scenario(s), min_lane_cell=floor)
+        assert used == lanes
+        assert report.to_dict() == serial.to_dict()
 
 
 class _CellError(Exception):
@@ -662,18 +702,20 @@ class _CellError(Exception):
 
 
 @pytest.mark.parametrize("cpus, failing, failing_lanes", [
-    # two repeats: cells x0 x1 y0 y1 z0 z1 Z0 Z1; lane 0 is the calling thread
-    (2, {2}, {1}),
-    (2, {5, 7}, {0}),
-    (2, {3, 4}, {0, 1}),  # lane 1 holds the lowest
-    (3, {2, 3}, {0, 1}),  # lane 0 holds the lowest
-    (3, {0, 1}, {1, 2}),
+    # two repeats: cells x0 x1 y0 y1 z0 z1 Z0 Z1, on two lanes x0-y1 | z0-Z1,
+    # on three x0 x1 | y0 y1 z0 | z1 Z0 Z1; lane 0 is the calling thread
+    (2, {6}, {1}),
+    (2, {1, 3}, {0}),
+    (2, {3, 4}, {0, 1}),  # lane 1 fails at its first cell, lane 0 at its last
+    (3, {1, 4}, {0, 1}),  # lane 0 holds the lowest
+    (3, {4, 5}, {1, 2}),  # lane 2 fails at its first cell, lane 1 at its last
 ], ids=["lane-1", "lane-0", "both", "both-lane-0-lowest", "lanes-1-and-2"])
 def test_a_failed_cell_raises_the_serial_runs_error(monkeypatch, capfd, cpus, failing,
                                                     failing_lanes):
     s = dataclasses.replace(SMALL, repeats=2)
-    shares = harness._lane_shares([0, 0, 0, 0, 1, 1, 2, 2], cpus)
-    assert {lane for lane, share in enumerate(shares) if failing & set(share)} == failing_lanes
+    _, shares = _cells_by_lane(monkeypatch, cpus, lambda: run_scenario(s), cpus)
+    assert {lane for lane, share in enumerate(shares)
+            if failing & {2 * ci + r for ci, r in share}} == failing_lanes
     run_cell = harness._run_cell
 
     def failing_cell(s, config_index, repeat, key):
@@ -683,7 +725,6 @@ def test_a_failed_cell_raises_the_serial_runs_error(monkeypatch, capfd, cpus, fa
 
     monkeypatch.setattr(harness, "_run_cell", failing_cell)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(harness, "MAX_LANES", cpus)
     with pytest.raises(_CellError) as serial:
         run_scenario(s)
     lowest = min(failing)
@@ -698,10 +739,11 @@ def test_a_failed_cell_raises_the_serial_runs_error(monkeypatch, capfd, cpus, fa
 
 
 def test_a_lane_ends_above_another_lanes_failure(monkeypatch, capfd):
-    # lane 1 fails at x0 (cell 0) while lane 0 runs z0 (cell 4); lane 0 then
-    # runs no more cells, as a serial run ends at cell 0
+    # on three lanes, x0 x1 | y0 y1 z0 | z1 Z0 Z1: lane 1 fails at y0 (cell 2)
+    # while lane 2 runs z1 (cell 5); lane 2 then runs no more cells, as a
+    # serial run ends at cell 2
     s = dataclasses.replace(SMALL, repeats=2)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    _lanes(monkeypatch, 3, 3)
     ran, lane_1 = [], []
     ready, go = threading.Event(), threading.Event()
     run_cell = harness._run_cell
@@ -709,22 +751,22 @@ def test_a_lane_ends_above_another_lanes_failure(monkeypatch, capfd):
     def cell(s, config_index, repeat, key):
         index = 2 * config_index + repeat
         ran.append(index)
-        if index == 0:
+        if index == 2:
             lane_1.append(threading.current_thread())
             ready.set()
             go.wait(10)
-            raise _CellError("cell 0, 0")
-        if index == 4:
+            raise _CellError("cell 1, 0")
+        if index == 5:
             ready.wait(10)
             go.set()
             lane_1[0].join(10)  # lane 1 has failed and ended
         return run_cell(s, config_index, repeat, key)
 
     monkeypatch.setattr(harness, "_run_cell", cell)
-    with pytest.raises(_CellError, match=r"^cell 0, 0$"):
+    with pytest.raises(_CellError, match=r"^cell 1, 0$"):
         run_scenario(s)
     assert not lane_1[0].is_alive()
-    assert sorted(ran) == [0, 4]
+    assert sorted(ran) == [0, 1, 2, 5]
     assert capfd.readouterr() == ("", "")
 
 
@@ -758,7 +800,7 @@ def test_more_lanes_than_cores_under_a_short_switch_interval(monkeypatch, capfd)
 
 
 def test_an_interrupt_in_a_lane_thread_reaches_the_caller(monkeypatch, capfd):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    _lanes(monkeypatch, 2)
     run_cell = harness._run_cell
 
     def interrupted(*args):
