@@ -48,8 +48,8 @@ def _keep_freed_memory() -> None:
     and the mmap threshold alone left 3,500 to 5,100 per run. Arrays over
     32 MiB still get their own mapping and are unmapped when freed, so the
     memory kept is at most the working set of the cells that run at once.
-    A scenario whose cells reach harness.MIN_LANE_CELL runs them on threads
-    (harness._run_configurations), and glibc gives each thread that
+    A scenario whose cells reach harness.MIN_LANE_CELL emissions runs them
+    on threads (harness._run_configurations), and glibc gives each thread that
     contends for the heap an arena of its own, which keeps its own free
     pages. One arena (M_ARENA_MAX) lets every lane reuse one
     kept heap: 40 aspect-like simulate runs on two lanes, in one process on

@@ -333,8 +333,8 @@ def cell_pairs(times_a, times_b, w: WindowConfig,
     a = _as_sorted_array(times_a, "times_a")
     b = _as_sorted_array(times_b, "times_b") + w.channel_delay
     edges = spectrum_bin_edges(w, spectrum_range)
-    # the last edge can round one ulp below window_hi, hence the union
-    lo, hi = min(float(edges[0]), w.window_lo), max(float(edges[-1]), w.window_hi)
+    # edges[0] <= window_lo, but the last edge can round one ulp below window_hi
+    lo, hi = float(edges[0]), max(float(edges[-1]), w.window_hi)
     g0, g1 = _pair_ranges(a, b, lo, hi)
     ia, ib = _expand_pairs(g0, g1, lo, hi)
     deltas = b[ib] - a[ia]

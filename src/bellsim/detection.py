@@ -220,22 +220,20 @@ def _particle_candidates(stream: EmissionStream, side: str, setting: PolariserSe
     # every draw keeps its size in the stream whatever decides it: n Malus
     # uniforms behind a polariser, then n efficiency uniforms, then n normals
     n = stream.size
-    passed = None  # every emission, until a draw can reject some
+    eta = config.eta0
     if setting.present:
         rel = stream.lam - setting.angle
         passed = _malus_transmitted(rng.random(n), rel)
-        eta = config.eta0
         if config.efficiency_fn == "cosine_modulated":
             eta = eta * (1.0 - config.modulation_depth * np.sin(rel) ** 2)
         eta = eta * config.enhancement_factor
     else:
-        eta = config.eta0
+        passed = np.ones(n, dtype=bool)
     if np.ndim(eta) == 0 and eta >= 1.0:
         _skip_uniforms(rng, n)  # every uniform in [0, 1) would pass
     else:
-        efficient = rng.random(n) < eta
-        passed = efficient if passed is None else passed & efficient
-    ids = np.arange(n) if passed is None else passed.nonzero()[0]
+        passed &= rng.random(n) < eta
+    ids = passed.nonzero()[0]
     # normal(0, sigma) is 0 + sigma * z, so scaling only the clicks' z moves no
     # time; summed per click as ((t0 + insertion delay) + cascade delay) + jitter
     z = rng.standard_normal(n)

@@ -23,9 +23,9 @@ run_scenario, run_configuration and coincidence_curve run their cells on T
 lanes, T the least of the number of cells, the CPUs this process may run on,
 MAX_EMISSIONS_PER_CELL // the largest expected cell, so the cells running
 at once stay within one cell's emissions cap, and MAX_LANES, since each
-lane adds about one cell's working set to peak memory; T is 1 when the
-largest expected cell is below MIN_LANE_CELL. Lane 0 is the calling
-thread and each other lane a thread that ends before the call returns;
+lane adds about one cell's working set to peak memory; T is 1 when no
+cell expects MIN_LANE_CELL emissions. Lane 0 is the calling thread and
+each other lane a thread that ends before the call returns;
 numpy's draws and array operations release the GIL, so the lanes overlap,
 and threads share the heap. Lane k runs the k-th of T contiguous blocks of
 the cells, which come in (configuration, repeat) order: x, y, z, Z. A
@@ -362,12 +362,13 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
 # tenth of a serial run's
 MAX_LANES = 2
 
-# a scenario whose largest expected cell is smaller runs on one lane, since
-# a second lane's thread costs more than it overlaps: in process on a 2-core
-# machine, 2 lanes against 1 ran aspect-like at 0.58-0.65x for cells of 200
-# to 2k emissions, 0.81, 0.95, 1.06, 1.11, 1.17 and 1.37x at 4k, 6k, 8k,
-# 10k, 12k and 20k, and freedman-like at 0.86, 0.93, 0.88, 1.22 and 1.42x
-# at 4k, 8k, 10k, 12k and 20k
+# a scenario whose cells expect fewer emissions, however many clicks, runs
+# on one lane, since a second lane's thread costs more than it overlaps: in
+# process on a 2-core machine, 2 lanes against 1 ran aspect-like at 0.58-0.65x
+# for cells of 200 to 2k emissions, 0.81, 0.95, 1.06, 1.11, 1.17 and 1.37x at
+# 4k, 6k, 8k, 10k, 12k and 20k, freedman-like at 0.86, 0.93, 0.88, 1.22 and
+# 1.42x at 4k, 8k, 10k, 12k and 20k, and multi-click wave-like (3 clicks
+# each) at 0.98-1.15, 1.17-1.27 and 1.34-1.40x at 6k, 8k and 12k
 MIN_LANE_CELL = 12_000
 
 
@@ -411,17 +412,18 @@ def _run_configurations(jobs: Sequence[tuple[ScenarioConfig, int, str]],
     """Per (scenario, configuration index, key) job, the sum of its cells, in repeat order.
 
     The cells of every job run together over lanes threads, by default
-    _workers(number of cells, the largest expected cell) but at most
-    MAX_LANES, and 1 if that cell is below MIN_LANE_CELL. Lane k runs the
-    k-th of lanes contiguous blocks of the cells, in order: lane 0 on the
-    calling thread, each other on a thread of its own. Once every lane has ended, a failure
-    raises the error of the lowest failing cell, as a serial run would.
+    _workers(number of cells, the largest expected cell) but at most MAX_LANES,
+    and 1 if no cell expects MIN_LANE_CELL emissions. Lane k runs the k-th of
+    lanes contiguous blocks of the cells, in order: lane 0 on the calling
+    thread, each other on a thread of its own. Once every lane has ended, a
+    failure raises the error of the lowest failing cell, as a serial run would.
     """
     cells = [(s, ci, r, key) for s, ci, key in jobs for r in range(s.repeats)]
     n = len(cells)
     if lanes is None:
+        emissions = max(s.emission.mean_rate * s.emission.duration for s, _, _ in jobs)
         largest = max(s.expected_cell_size for s, _, _ in jobs)
-        lanes = 1 if largest < MIN_LANE_CELL else min(MAX_LANES, _workers(n, largest))
+        lanes = 1 if emissions < MIN_LANE_CELL else min(MAX_LANES, _workers(n, largest))
     blocks = [range(n * k // lanes, n * (k + 1) // lanes) for k in range(lanes)]
     outcomes: list = [None] * n
     failed: list[int] = []
@@ -447,6 +449,7 @@ def _run_configurations(jobs: Sequence[tuple[ScenarioConfig, int, str]],
 
 def run_configuration(s: ScenarioConfig, key: str) -> ConfigurationResult:
     """One configuration of run_scenario, alone: the same cells, so the same result."""
+    check_choice("configuration key", key, CONFIG_KEYS)
     return _run_configurations([(s, CONFIG_KEYS.index(key), key)])[0]
 
 

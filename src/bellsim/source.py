@@ -96,21 +96,18 @@ class EmissionConfig:
 def _renewal_arrivals(rng: np.random.Generator, duration_ns: float,
                       hard_gap: float, exp_scale: float) -> np.ndarray:
     """Arrival times on (0, duration_ns) with gaps hard_gap + Exp(exp_scale)."""
-    if duration_ns <= 0.0:
-        return np.zeros(0, dtype=float)
     mean_gap = hard_gap + exp_scale
     expected = duration_ns / mean_gap
     chunk = max(int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16, 16)
-    blocks: list[np.ndarray] = []
+    blocks = [np.zeros(0)]  # so that a zero duration concatenates to no times
     t_end = 0.0
     while t_end < duration_ns:
         gaps = rng.exponential(exp_scale, chunk)
-        if hard_gap > 0.0:
-            gaps += hard_gap
+        gaps += hard_gap
         block = t_end + gaps.cumsum()
         t_end = float(block[-1])
         blocks.append(block)
-    times = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    times = np.concatenate(blocks)
     # running sums of nonnegative gaps: the times before duration_ns are a prefix
     return times[:np.searchsorted(times, duration_ns)]
 

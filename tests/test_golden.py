@@ -11,6 +11,7 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from bellsim import harness
@@ -72,6 +73,38 @@ CURVE_DIGESTS = {
     "aspect-like": "1d001a9b773d338a4eb98de6516f102a5a8fc9261837b900c6aaf2455e5c9a36",
     "wave-like": "42c6761b046d0d0dc69490e522b0c7be4100c2d8ed0c75c43f05f6d977ae0ee0",
 }
+
+
+def _advance_then_random(rng):
+    rng.bit_generator.advance(1000)
+    return rng.random(2)
+
+
+# the first draws of each Generator method the seed policy calls, from cell
+# (0, 0, 0)'s streams: emission 0, detector A 1, detector B 2. Every digest
+# rests on them, so on another numpy a moved draw is named here
+NUMPY_STREAM = {
+    "source exponential": (0, lambda rng: rng.exponential(5.0, 3),
+                           [16.467638954049136, 3.8156536907492455, 6.261835613076972]),
+    "source uniform": (0, lambda rng: rng.uniform(0.0, np.pi, 3),
+                       [2.962325688930791, 0.9938024739917957, 2.2693061698773254]),
+    "particle random": (1, lambda rng: rng.random(3),
+                        [0.6771968569751019, 0.2429867485428212, 0.6117637963218119]),
+    "particle standard_normal": (1, lambda rng: rng.standard_normal(3),
+                                 [0.8050894723742356, -1.9120592174903859, -3.496649248417975]),
+    "particle PCG64.advance": (1, _advance_then_random,
+                               [0.5450590560296897, 0.6748932869263753]),
+    "wave standard_exponential": (2, lambda rng: rng.standard_exponential(3),
+                                  [1.5302749861768203, 0.11503152796070905, 1.1779791769513455]),
+    "wave normal": (2, lambda rng: rng.normal(0.0, 1.0, 3),
+                    [0.9420990037776027, -0.6984925204581627, 1.588505736021452]),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(NUMPY_STREAM))
+def test_numpy_stream_fingerprint(draw):
+    stream, call, first = NUMPY_STREAM[draw]
+    assert call(harness.derive_rngs(0, 0, 0)[stream]).tolist() == first
 
 
 @pytest.mark.parametrize("preset, seed", sorted(PRESET_DIGESTS))

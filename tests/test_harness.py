@@ -278,11 +278,13 @@ def test_polariser_settings_mapping():
     assert a.present and not b.present
     a, b = s.polariser_settings("Z")
     assert not a.present and not b.present
-    with pytest.raises(ValueError, match=re.escape(
-            "unknown configuration key 'w', expected one of ('x', 'y', 'z', 'Z')")):
-        s.polariser_settings("w")
-    with pytest.raises(ValueError, match="configuration key must be a string, got 1"):
-        s.polariser_settings(1)
+    # run_configuration refuses a key with polariser_settings' messages
+    for refuse in (s.polariser_settings, lambda key: run_configuration(s, key)):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown configuration key 'w', expected one of ('x', 'y', 'z', 'Z')")):
+            refuse("w")
+        with pytest.raises(ValueError, match="configuration key must be a string, got 1"):
+            refuse(1)
     # a set angle is stored as a plain float, reduced mod pi
     a, b = ScenarioConfig(analyzer_a=np.float64(3.5)).polariser_settings("x")
     assert type(a.angle) is float and type(b.angle) is float
@@ -687,10 +689,14 @@ def test_cells_are_dealt_heaviest_beside_lightest(monkeypatch):
 
 
 def test_a_scenario_of_small_cells_runs_on_one_lane(monkeypatch):
-    # two CPUs and MAX_LANES allow two lanes: the floor alone decides
-    floor, rate = harness.MIN_LANE_CELL, aspect_like().emission.mean_rate
-    for cells, lanes in [(0.95 * floor, 1), (1.05 * floor, 2)]:
-        s = _short(aspect_like(), cells / rate, seed=7)
+    # two CPUs and MAX_LANES allow two lanes: the floor alone decides, on a
+    # cell's expected emissions, and the multi-click wave cell below it in
+    # emissions expects about three times as many clicks, above it
+    floor, wave = harness.MIN_LANE_CELL, LANE_SCENARIOS["wave-like, multi-click"]
+    for base, cells, lanes in [(aspect_like(), 0.95 * floor, 1), (aspect_like(), 1.05 * floor, 2),
+                               (wave, 0.95 * floor, 1)]:
+        s = _short(base, cells / base.emission.mean_rate, seed=7)
+        assert s.expected_cell_size > floor or base is not wave
         serial, _ = _on_cpus(monkeypatch, 1, lambda: run_scenario(s))
         report, used = _on_cpus(monkeypatch, 2, lambda: run_scenario(s), min_lane_cell=floor)
         assert used == lanes

@@ -75,7 +75,8 @@ def test_cross_field_rules_refuse_sums_and_products_that_overflow():
         EmissionConfig(process="min_separation", mean_rate=10**300, min_gap=10**300)
     with pytest.raises(ValueError, match="twice the span"):
         WindowConfig(window_lo=-(10**308), window_hi=10**308)
-    # the delayed estimate shifts B by channel_delay + accidental_offset
+    # no code adds channel_delay + accidental_offset, but an input whose sum
+    # overflows is still refused: a check on outside input
     for big in (1.0e308, 10**308):
         with pytest.raises(ValueError, match="channel_delay"):
             WindowConfig(channel_delay=big, accidental_offset=big)
