@@ -133,12 +133,6 @@ def subtract_accidentals(counts: RunCounts) -> RunCounts:
     return dataclasses.replace(counts, **differences, **dict.fromkeys(_ACC_FIELDS))
 
 
-def _two_point_visibility(x: float, y: float) -> float | None:
-    if x + y == 0.0:
-        return None
-    return (x - y) / (x + y)
-
-
 def compute_bell_statistics(counts: RunCounts, variant: str = "raw") -> BellReport:
     """Evaluate the three count-table statistics on one RunCounts.
 
@@ -154,7 +148,7 @@ def compute_bell_statistics(counts: RunCounts, variant: str = "raw") -> BellRepo
         s_std=_stat("s_std", 4.0 * (x - y), x + y),
         s_chsh=_stat("s_chsh", 3.0 * x - y - 2.0 * z, Z),
         s_freedman=_stat("s_freedman", x - y, Z),
-        visibility=_two_point_visibility(x, y),
+        visibility=(x - y) / (x + y) if x + y != 0.0 else None,
         negative_counts=any(v < 0.0 for v in (x, y, z, Z)),
         no_data=all(v == 0.0 for v in (x, y, z, Z)),
     )

@@ -38,10 +38,12 @@ A sweep runs one scenario per value and returns their reports;
 sweep_csv_text writes them as a table. run_sweep splits the points over P
 processes, P bound as T is, by points in place of cells and without
 MAX_LANES, since each process runs one cell at a time. The parent runs one
-share and a forked child each other, each point on one lane; the reports
-come back in point order, byte-identical to a serial run's. P and
-T are 1 where the platform cannot say which CPUs are usable, and P is 1
-while another thread runs, since fork copies only the calling thread.
+share and a forked child each other, each point on one lane. Every share
+comes back in one shape, (reports, failure), so the reports come back in
+point order, byte-identical to a serial run's, and a failed point raises
+the same error whichever process ran it. P and T are 1 where the platform
+cannot say which CPUs are usable, and P is 1 while another thread runs,
+since fork copies only the calling thread.
 
 A scenario is refused when it is parsed if a cell would expect more than
 MAX_EMISSIONS_PER_CELL emissions, or if a multi-click wave detector would
@@ -91,7 +93,6 @@ from bellsim.coincidence import (
 )
 from bellsim.detection import (
     ABSENT,
-    ClickStream,
     DetectorConfig,
     PolariserSetting,
     simulate_side,
@@ -320,19 +321,15 @@ def _window_inclusion(pairs: CellPairs, ids_a: np.ndarray, ids_b: np.ndarray) ->
     return inside, int(both.size)
 
 
-def _simulate_cell(s: ScenarioConfig, cell_index: int, repeat: int, set_a: PolariserSetting,
-                   set_b: PolariserSetting) -> tuple[ClickStream, ClickStream]:
-    """One seed-policy cell: its emission stream, then side A's and side B's clicks."""
-    # its own function so that the stream is freed before _run_cell's pair pass
-    rng_em, rng_a, rng_b = derive_rngs(s.seed, cell_index, repeat)
-    stream = generate_emissions(s.emission, rng_em)
-    return (simulate_side(stream, "A", set_a, s.detector_a, rng_a),
-            simulate_side(stream, "B", set_b, s.detector_b, rng_b))
-
-
 def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> ConfigurationResult:
     set_a, set_b = s.polariser_settings(key)
-    clicks_a, clicks_b = _simulate_cell(s, config_index, repeat, set_a, set_b)
+    rng_em, rng_a, rng_b = derive_rngs(s.seed, config_index, repeat)
+    stream = generate_emissions(s.emission, rng_em)
+    clicks_a = simulate_side(stream, "A", set_a, s.detector_a, rng_a)
+    clicks_b = simulate_side(stream, "B", set_b, s.detector_b, rng_b)
+    # freed before the pair pass, the small generators too: left alive, they
+    # raised a dense sweep's peak memory by about 0.6 MB on a 2-core machine
+    del stream, rng_em, rng_a, rng_b
     pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
     inside, total = _window_inclusion(pairs, clicks_a.emission_index, clicks_b.emission_index)
     true_pairs, accidental_pairs = classify_pairs_by_origin(pairs, clicks_a.emission_index,
@@ -363,12 +360,17 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
 MAX_LANES = 2
 
 # a scenario whose cells expect fewer emissions, however many clicks, runs
-# on one lane, since a second lane's thread costs more than it overlaps: in
-# process on a 2-core machine, 2 lanes against 1 ran aspect-like at 0.58-0.65x
-# for cells of 200 to 2k emissions, 0.81, 0.95, 1.06, 1.11, 1.17 and 1.37x at
-# 4k, 6k, 8k, 10k, 12k and 20k, freedman-like at 0.86, 0.93, 0.88, 1.22 and
-# 1.42x at 4k, 8k, 10k, 12k and 20k, and multi-click wave-like (3 clicks
-# each) at 0.98-1.15, 1.17-1.27 and 1.34-1.40x at 6k, 8k and 12k
+# on one lane, since a second lane's thread costs more than it overlaps. Two
+# sets of runs, in process on a 2-core machine, read 2 lanes against 1 at:
+# first set, aspect-like 0.58-0.65x for cells of 200 to 2k emissions, 0.81,
+# 0.95, 1.06, 1.11, 1.17 and 1.37x at 4k, 6k, 8k, 10k, 12k and 20k, and
+# freedman-like 0.86, 0.93, 0.88, 1.22 and 1.42x at 4k, 8k, 10k, 12k and 20k;
+# second set, aspect-like 1.23-1.27x at 10k and 0.93-1.36x at 12k (three of
+# four runs above 1), freedman-like 1.13-1.23, 1.15-1.30 and 1.29x at 8k, 10k
+# and 12k, and multi-click wave-like (3 clicks each) 0.99-1.02, 0.98-1.15,
+# 1.17-1.27, 1.34-1.40 and 1.45-1.49x at 4k, 6k, 8k, 12k and 16k. The
+# break-even moves between sets by more than the step between sizes, so the
+# floor is the least size at which each set gained on every preset it ran
 MIN_LANE_CELL = 12_000
 
 
@@ -590,26 +592,27 @@ def _deal(weights: Sequence[float], processes: int) -> list[list[int]]:
 
 
 def _run_share(spec: SweepSpec, indices: list[int]):
-    """Reports of the points at indices, in order, and the first failure as (index, exception).
+    """(reports, failure): the points at indices run in order until one fails.
 
-    Each point runs on one lane: the sweep's processes already fill the CPUs.
+    failure is None, or (index, message) for the point that failed. Each
+    point runs on one lane: the sweep's processes already fill the CPUs.
     """
     reports = []
     for i in indices:
         try:
             reports.append(_run_scenario(spec.scenarios[i], 1))
         except Exception as exc:
-            return reports, (i, exc)
+            return reports, (i, str(exc))
     return reports, None
 
 
 def _fork_share(spec: SweepSpec, indices: list[int]):
     """Start a child that runs a share; (its pid, the read end of its pipe as a file).
 
-    The child writes one pickle to the pipe: the share's reports as a list,
-    or its first failure as an (index, message) tuple. It never returns: it
-    leaves through os._exit, so it flushes none of the parent's buffered
-    output and runs none of its exit handlers.
+    The child writes one pickle to the pipe: the share's (reports, failure)
+    as _run_share returns it. It never returns: it leaves through os._exit,
+    so it flushes none of the parent's buffered output and runs none of its
+    exit handlers.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -622,10 +625,8 @@ def _fork_share(spec: SweepSpec, indices: list[int]):
         status = 1
         try:
             os.close(read_fd)
-            reports, failure = _run_share(spec, indices)
-            payload = reports if failure is None else (failure[0], str(failure[1]))
             with open(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_run_share(spec, indices), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -633,26 +634,16 @@ def _fork_share(spec: SweepSpec, indices: list[int]):
     return pid, open(read_fd, "rb")
 
 
-def _stop(children: dict) -> None:
-    """Kill and reap the children not yet reaped, and close their pipes."""
-    if not children:
-        return
-    import signal  # only an interrupted sweep gets here
-
-    for pid, (pipe, _) in children.items():
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
     """run_scenario on each point's scenario, whose seed is base seed + value index.
 
     The points are dealt by mean_rate x duration x repeats over
     _sweep_processes(spec) processes, and the parent runs the first share.
-    The reports come back in point order. A failed point raises the serial
-    run's error for the lowest failing index once every child is reaped; a
-    child that did not finish raises RuntimeError.
+    Every share comes back as _run_share's (reports, failure). Once every
+    child is reaped, a child that did not finish raises RuntimeError, and
+    then a failed point raises RuntimeError for the lowest failing index,
+    with no chained cause, whichever process ran it. Otherwise the reports
+    come back in point order.
     """
     weights = [s.emission.mean_rate * s.emission.duration * s.repeats for s in spec.scenarios]
     shares = _deal(weights, _sweep_processes(spec))
@@ -661,40 +652,34 @@ def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
         for indices in shares[1:]:
             pid, pipe = _fork_share(spec, indices)
             children[pid] = (pipe, indices)
-        reports, failure = _run_share(spec, shares[0])
-        by_index = dict(zip(shares[0], reports))
-        failures = dict([failure]) if failure else {}  # index -> exception or child's message
+        results = [(shares[0], _run_share(spec, shares[0]))]  # (share, (reports, failure))
         unfinished = []
         for pid, (pipe, indices) in list(children.items()):
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            if code != 0:
+            if code == 0:
+                results.append((indices, pickle.loads(data)))
+            else:
                 unfinished.append(f"points {indices} " + (
                     f"ended by signal {-code}" if code < 0 else f"exited with status {code}"))
-            elif isinstance(payload := pickle.loads(data), tuple):
-                failures[payload[0]] = payload[1]
-            else:
-                by_index.update(zip(indices, payload))
     finally:
-        _stop(children)
+        if children:  # not yet reaped: kill and reap them, and close their pipes
+            import signal  # only an interrupted sweep gets here
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if unfinished:
         raise RuntimeError(f"sweep process for {'; '.join(unfinished)}")
+    failures = [failure for _, (_, failure) in results if failure is not None]
     if failures:
-        first = min(failures)
-        error = failures[first]
-        raise RuntimeError(f"sweep aborted at {spec.parameter} = {spec.values[first]}: {error}") \
-            from (error if isinstance(error, Exception) else None)
+        first, message = min(failures)
+        raise RuntimeError(f"sweep aborted at {spec.parameter} = {spec.values[first]}: {message}")
+    by_index = {i: r for indices, (reports, _) in results for i, r in zip(indices, reports)}
     return [by_index[i] for i in range(len(spec.scenarios))]
-
-
-def _merge_section(current, overrides: dict, section: str):
-    check_keys(section, overrides, (f.name for f in dataclasses.fields(current)))
-    try:
-        return dataclasses.replace(current, **overrides)
-    except ValueError as exc:
-        raise ValueError(f"invalid {section} config: {exc}") from None
 
 
 def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -703,7 +688,12 @@ def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> Scenar
     base = base if base is not None else ScenarioConfig()
     fields = dict(data)
     for name in ("emission", "detector_a", "detector_b", "window"):
-        fields[name] = _merge_section(getattr(base, name), data.get(name, {}), name)
+        section, overrides = getattr(base, name), data.get(name, {})
+        check_keys(name, overrides, (f.name for f in dataclasses.fields(section)))
+        try:
+            fields[name] = dataclasses.replace(section, **overrides)
+        except ValueError as exc:
+            raise ValueError(f"invalid {name} config: {exc}") from None
     return dataclasses.replace(base, **fields)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: criteria 1 to 8, 10, 12 and 13, one printed PASS/FAIL line each.
+"""Acceptance suite: criteria 1 to 13, one printed PASS/FAIL line each.
 
 Each criterion prints a verdict line even under pytest's output capture so a
 plain `pytest tests/test_acceptance.py` run shows every result at a
@@ -213,6 +213,44 @@ def test_criterion_8_spectrum_tail_and_flat_floor(capsys):
              ok, f"tau {tau:.3f} ns, flat-spectrum p {p_value:.3f}")
 
 
+def test_criterion_9_enhancement_breaks_the_limits_that_divide_by_z(capsys):
+    # the paper's "enhancement": a detector that clicks more often with its
+    # polariser in (eta0 0.5, enhancement_factor 2) counts x, y and z at
+    # full efficiency on the polarised sides and Z at half on each, so a
+    # local model breaks both limits that divide by Z with no subtraction,
+    # in the raw and the true counts. x / y sees the same factor on both
+    # sides, so s_std reads as without it
+    start = time.perf_counter()
+    base = aspect_like()
+    emission = dataclasses.replace(base.emission, mean_rate=2.0e4, duration=0.5)
+    stats = {}
+    for factor in (2.0, 1.0):
+        detector = dataclasses.replace(base.detector_a, eta0=0.5, enhancement_factor=factor)
+        runs = _seed_runs(dataclasses.replace(base, emission=emission, detector_a=detector,
+                                              detector_b=detector, seed=0), 10)
+        stats[factor] = {(variant, name): np.array([_values(r.reports[variant])[name]
+                                                    for r in runs])
+                         for variant in ("raw", "truth") for name in STAT_NAMES}
+    elapsed = time.perf_counter() - start
+    by_z = ("s_chsh", "s_freedman")
+    enhanced_ok = bool(all((stats[2.0][variant, name] > LIMITS[name]).all()
+                           for variant in ("raw", "truth") for name in by_z)
+                       and all((stats[1.0]["raw", name] <= LIMITS[name]).all() for name in by_z)
+                       and all((stats[f]["raw", "s_std"] <= LIMITS["s_std"]).all()
+                               for f in (2.0, 1.0)))
+    s_std = [stats[f]["raw", "s_std"] for f in (2.0, 1.0)]
+    gap = abs(float(s_std[0].mean() - s_std[1].mean()))
+    # standard errors of the two 10-seed means, combined
+    sigma = math.sqrt(sum(float(v.var(ddof=1)) / v.size for v in s_std))
+    ok = enhanced_ok and gap <= 3.0 * sigma
+    _verdict(capsys, 9, "enhancement violates s_chsh and s_freedman raw and true, s_std holds",
+             ok, ", ".join(f"{variant} {name} {stats[2.0][variant, name].min():+.3f} min"
+                           for variant in ("raw", "truth") for name in by_z)
+             + f" with factor 2; raw s_chsh {stats[1.0]['raw', 's_chsh'].max():+.3f}, "
+             f"s_freedman {stats[1.0]['raw', 's_freedman'].max():.3f} max with factor 1; "
+             f"s_std gap {gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")
+
+
 def test_criterion_10_one_orientation_cannot_show_rotational_invariance(capsys):
     # the paper's "over-reliance on rotational invariance": s_std assumes
     # that the counts depend only on the relative angle. A fixed hidden
@@ -243,6 +281,50 @@ def test_criterion_10_one_orientation_cannot_show_rotational_invariance(capsys):
              ok, f"fixed s_std {s_std['fixed', 0.0].min():.3f} min at 0, "
              f"{s_std['fixed', math.pi / 4.0].max():.3f} max at pi/4; uniform gap "
              f"{gap:.4f}/{3.0 * sigma:.4f}, {elapsed:.2f} s")
+
+
+def test_criterion_11_an_insertion_delay_biases_only_the_statistics_divided_by_z(capsys):
+    # the paper's "imperfect synchronisation": a polariser's insertion delay
+    # moves its side's clicks only while the polariser is in, so the x
+    # spectrum's peak moves by the delay against Z's and leaves part of the
+    # window. s_chsh and s_freedman divide by Z, which keeps its peak, and
+    # move; s_std divides x - y by x + y, which lose alike, and does not
+    start = time.perf_counter()
+    base = aspect_like()
+    scenario = dataclasses.replace(
+        base, emission=dataclasses.replace(base.emission, mean_rate=2.0e4, duration=0.5))
+    delays = {"none": ({}, 0.0), "B": ({"insertion_delay_b": 12.0}, 12.0),
+              "A": ({"insertion_delay_a": 12.0}, -12.0)}
+    shifts, stats = {}, {}
+    for side, (delay, _) in delays.items():
+        runs = _seed_runs(dataclasses.replace(scenario, **delay), 10)
+        edges = runs[0].configurations["Z"].spectrum.bin_edges
+        peak = {k: float(edges[np.argmax(sum(r.configurations[k].spectrum.counts for r in runs))])
+                for k in ("x", "Z")}
+        shifts[side] = peak["x"] - peak["Z"]
+        stats[side] = {name: np.array([_values(r.reports["raw"])[name] for r in runs])
+                       for name in STAT_NAMES}
+    elapsed = time.perf_counter() - start
+    ok = all(abs(shifts[side] - moved) <= base.window.bin_width
+             for side, (_, moved) in delays.items())
+    details = [f"x peak - Z peak {shifts['none']:+.0f}/{shifts['B']:+.0f}/{shifts['A']:+.0f} ns"]
+    plain = stats["none"]
+    for side in ("B", "A"):
+        for name in ("s_chsh", "s_freedman"):
+            runs = (stats[side][name], plain[name])
+            move = float(runs[0].mean() - runs[1].mean())
+            # the spreads of one delayed and one plain run across seeds, combined
+            sigma = math.sqrt(sum(float(v.var(ddof=1)) for v in runs))
+            ok = ok and abs(move) > 3.0 * sigma
+            details.append(f"{side} {name} {move:+.3f}/{3.0 * sigma:.3f}")
+        s_std = (stats[side]["s_std"], plain["s_std"])
+        gap = abs(float(s_std[0].mean() - s_std[1].mean()))
+        # standard errors of the two 10-seed means, combined
+        sigma = math.sqrt(sum(float(v.var(ddof=1)) / v.size for v in s_std))
+        ok = ok and gap <= 3.0 * sigma
+        details.append(f"{side} s_std gap {gap:.4f}/{3.0 * sigma:.4f}")
+    _verdict(capsys, 11, "an insertion delay moves s_chsh and s_freedman, not s_std",
+             ok, ", ".join(details) + f", {elapsed:.2f} s")
 
 
 def test_criterion_12_efficiency_that_follows_the_hidden_variable_opens_the_loophole(capsys):

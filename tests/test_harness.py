@@ -32,7 +32,6 @@ from bellsim.harness import (
     CONFIG_KEYS,
     ScenarioConfig,
     SweepSpec,
-    _simulate_cell,
     _window_inclusion,
     apply_sweep_value,
     coincidence_curve,
@@ -156,8 +155,12 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
         detector_b=dataclasses.replace(base.detector_b, **multi))
     empty = ClickStream(times=np.zeros(0), emission_index=np.zeros(0, dtype=np.int64))
     windows = (s.window, WindowConfig(channel_delay=-4.0, window_lo=-1.5, window_hi=2.5))
+    set_a, set_b = s.polariser_settings("x")
     for cell in range(3):
-        clicks_a, clicks_b = _simulate_cell(s, cell, 0, *s.polariser_settings("x"))
+        rng_em, rng_a, rng_b = derive_rngs(s.seed, cell, 0)
+        stream = generate_emissions(s.emission, rng_em)
+        clicks_a = simulate_side(stream, "A", set_a, s.detector_a, rng_a)
+        clicks_b = simulate_side(stream, "B", set_b, s.detector_b, rng_b)
         assert np.unique(clicks_a.emission_index).size < clicks_a.size
         assert np.unique(clicks_b.emission_index).size < clicks_b.size
         for w in windows:
@@ -471,7 +474,10 @@ def test_sweep_abort_names_offending_value(monkeypatch, no_stray_process):
         assert harness._deal([s.emission.mean_rate for s in spec.scenarios], 2) == shares
         with pytest.raises(RuntimeError) as forked:
             run_sweep(spec)
+        # the same error whichever process ran the lowest failing point
+        assert type(forked.value) is type(serial.value)
         assert str(forked.value) == str(serial.value)
+        assert serial.value.__cause__ is None and forked.value.__cause__ is None
     assert no_stray_process.readouterr() == ("", "")
 
 
