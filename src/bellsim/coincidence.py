@@ -20,16 +20,17 @@ spectrum, the ground truth and the harness's window-inclusion
 diagnostic. cell_pairs gates over the union of the spectrum range and
 the window, not over the spectrum edges alone: an edge computed as
 lo + k * bin_width can fall one ulp short of window_hi.
-It keeps every pair's difference b - a. The spectrum histograms the
-differences inside its edges. Each A click's window range is read off
-its own differences: the range starts after those below window_lo and
-holds those inside the window. The difference is monotone in b, so these
-are the ranges the gate returns. The offset window of the delayed
-estimate, [window_lo - offset, window_hi - offset] on the same
-differences, is read off them the same way. Only when it does not lie
-inside the gated range (a huge offset, or a tight spectrum range) is it
-gated apart, over the same arrays; widening the union instead would
-expand every pair in between.
+It expands the gated pairs PAIR_BLOCK at a time and takes each pair's
+difference b - a. The spectrum histograms the differences inside its
+edges. Each A click's window range is read off its own differences: the
+range starts after those below window_lo and holds those inside the
+window. The difference is monotone in b, so these are the ranges the
+gate returns. The offset window of the delayed estimate,
+[window_lo - offset, window_hi - offset] on the same differences, is
+read off them the same way. Only when it does not lie inside the gated
+range (a huge offset, or a tight spectrum range) is it gated apart, over
+the same arrays; widening the union instead would expand every pair in
+between. Of the pairs, only those inside the window are kept.
 
 The one-use count needs no per-click loop. With [j0, j1) an A click's
 range, the two-pointer greedy gives click i the B index max(j0[i], prev + 1)
@@ -56,9 +57,17 @@ from bellsim.source import NS_PER_SECOND
 from bellsim.validation import check_number, require_numbers
 
 MAX_SPECTRUM_BINS = 1_000_000
-# a gated pair takes 30 to 50 bytes of peak memory, so a cell stays under 2.5 GB;
-# a scenario's lanes and a sweep's processes each run one cell at a time
+# a cell keeps only its window pairs, 16 bytes each, so where the spectrum
+# range is the window and every gated pair lies in it, they stay under 0.8 GB;
+# a 3e7/s aspect-like Z cell gated 2,140,887 pairs in 0.12 s and kept 377,456.
+# A scenario's lanes and a sweep's processes each run one cell at a time
 MAX_PAIRS_PER_CELL = 50_000_000
+# pairs expanded at once. perfbench dense-rate-sweep, two 6 s runs each on a
+# 2-core box: 6.5-6.7 M emissions/s and a 45.0 MB peak at 8,192; 6.6-6.8 M and
+# 44.9 MB at 16,384; 6.7-6.9 M and 44.5 MB at 32,768; 6.7-6.9 M and 46.4 MB at
+# 65,536; 6.6-6.7 M and 48.2 MB with every pair at once. An aspect-like cell
+# of 50,000 emissions, at most 52,022 pairs, fits in one or two blocks
+PAIR_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,8 @@ class CoincidenceSpectrum:
 
     def __add__(self, other: CoincidenceSpectrum) -> CoincidenceSpectrum:
         """The spectrum of both sets of pairings; other must have the same bin edges."""
+        if not np.array_equal(self.bin_edges, other.bin_edges):
+            raise ValueError("spectra with different bin edges cannot be added")
         return CoincidenceSpectrum(bin_edges=self.bin_edges, counts=self.counts + other.counts)
 
     def to_dict(self) -> dict:
@@ -233,10 +244,14 @@ def _one_use_count(j0: np.ndarray, j1: np.ndarray) -> int:
     return matched
 
 
-def _expand_pairs(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
-    """Expand per-A index ranges, gated over [lo, hi], into flat (a_index, b_index) arrays.
+def _pair_blocks(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
+    """Expand per-A index ranges, gated over [lo, hi], into (a_index, b_index) pairs by blocks.
 
-    More than MAX_PAIRS_PER_CELL pairs are refused before any is allocated.
+    Yields (c, ia, ib) for each block of PAIR_BLOCK consecutive pairs: pair k
+    joins A click c + ia[k] and B click ib[k]. Blocks are cut at pair
+    indices, so one A click's pairs may span two blocks. A cell yields at
+    least one block, empty when it has no pairs. More than
+    MAX_PAIRS_PER_CELL pairs are refused before any is allocated.
     """
     counts = j1 - j0
     total = int(counts.sum())
@@ -245,10 +260,23 @@ def _expand_pairs(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
             f"{total} click pairs in one cell's gated range [{lo}, {hi}] ns exceed the cap "
             f"of {MAX_PAIRS_PER_CELL}; lower the rate or the duration, or narrow the range"
         )
-    ia = np.arange(j0.size).repeat(counts)
-    # pair k of A click i is B index j0[i] + (k - first pair of i)
-    ib = np.arange(total) + (j0 - (counts.cumsum() - counts)).repeat(counts)
-    return ia, ib.astype(np.int64, copy=False)
+    ends = counts.cumsum()
+    # pair k of A click i is B index k + shift[i]
+    shift = j0 - (ends - counts)
+    c = 0
+    for start in range(0, max(total, 1), PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, total)
+        # A clicks c, which holds pair start, to c1 - 1, which holds pair stop - 1.
+        # A cut takes pairs only from those two; held views counts, and a
+        # count the cut overwrote is set again from ends in the next block
+        c1 = int(ends.searchsorted(stop)) + 1
+        held = counts[c:c1]
+        if start:
+            held[0] = ends[c] - start
+        if stop < total:
+            held[-1] -= ends[c1 - 1] - stop
+        yield c, np.arange(held.size).repeat(held), np.arange(start, stop) + shift[c:c1].repeat(held)
+        c = c1 - 1
 
 
 def spectrum_bin_edges(w: WindowConfig,
@@ -292,18 +320,18 @@ def spectrum_bin_edges(w: WindowConfig,
 class CellPairs:
     """One cell's click pairs, gated once by cell_pairs.
 
-    a holds the A times and b the B times plus the channel delay. deltas
-    holds b - a for every pair in the gated range, and edges the spectrum's
-    bin edges. [j0[i], j1[i]) is the range of B indices inside A click i's
-    window, and window_a, window_b are the A and B indices of every pair in
-    the window. [k0[i], k1[i]) is A click i's range in the offset window
-    [window_lo - accidental_offset, window_hi - accidental_offset].
+    a holds the A times and b the B times plus the channel delay. edges
+    are the spectrum's bin edges and spectrum_counts the number of pairs
+    b - a in each bin. [j0[i], j1[i]) is the range of B indices inside A
+    click i's window, and window_a, window_b are the A and B indices of
+    every pair in the window. [k0[i], k1[i]) is A click i's range in the
+    offset window [window_lo - accidental_offset, window_hi - accidental_offset].
     """
 
     edges: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    deltas: np.ndarray
+    spectrum_counts: np.ndarray
     j0: np.ndarray
     j1: np.ndarray
     window_a: np.ndarray
@@ -312,42 +340,72 @@ class CellPairs:
     k1: np.ndarray
 
 
-def _ranges_from_deltas(g0: np.ndarray, ia: np.ndarray, deltas: np.ndarray,
-                        lo: float, hi: float):
-    """Each A click's range [j0, j1) with lo <= b - a <= hi, read off its gated differences.
+def _tally(j0: np.ndarray, c: int, ia: np.ndarray, deltas: np.ndarray,
+           lo: float, hi: float) -> np.ndarray:
+    """Move each A click's range start j0 past its block pairs below lo; return those inside [lo, hi].
 
-    Also returns the indices of the gated pairs inside [lo, hi]. An A
-    click's differences rise with b, so the ones below lo and the ones
+    An A click's differences rise with b, so the ones below lo and the ones
     inside [lo, hi] are consecutive runs of its gated range; [lo, hi] must
-    lie inside that range.
+    lie inside that range. The returned indices count from the block's start.
     """
-    below = deltas < lo
-    inside = (~below & (deltas <= hi)).nonzero()[0]
-    j0 = g0 + np.bincount(ia[below.nonzero()[0]], minlength=g0.size)
-    return j0, j0 + np.bincount(ia[inside], minlength=g0.size), inside
+    under = deltas < lo
+    n = np.bincount(ia[under.nonzero()[0]])
+    j0[c:c + n.size] += n
+    return ((deltas <= hi) ^ under).nonzero()[0]
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks' arrays end to end; the array of a single block is not copied."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def cell_pairs(times_a, times_b, w: WindowConfig,
                spectrum_range: tuple[float, float] | None = None) -> CellPairs:
-    """Gate every pair of one cell once, over the spectrum range and the window together."""
+    """Gate every pair of one cell once, over the spectrum range and the window together.
+
+    The pairs are expanded PAIR_BLOCK at a time. Each block adds its pairs
+    to the spectrum, moves the start of each A click's window and
+    offset-window ranges past its pairs below them, and keeps the pairs
+    inside them, from which the ranges' ends are counted. Counts add
+    exactly across blocks, so nothing depends on the block size.
+    """
     a = _as_sorted_array(times_a, "times_a")
     b = _as_sorted_array(times_b, "times_b") + w.channel_delay
     edges = spectrum_bin_edges(w, spectrum_range)
     # edges[0] <= window_lo, but the last edge can round one ulp below window_hi
     lo, hi = float(edges[0]), max(float(edges[-1]), w.window_hi)
     g0, g1 = _pair_ranges(a, b, lo, hi)
-    ia, ib = _expand_pairs(g0, g1, lo, hi)
-    deltas = b[ib] - a[ia]
-    j0, j1, inside = _ranges_from_deltas(g0, ia, deltas, w.window_lo, w.window_hi)
     off_lo = w.window_lo - w.accidental_offset
     off_hi = w.window_hi - w.accidental_offset
-    if lo <= off_lo and off_hi <= hi:
-        k0, k1, _ = _ranges_from_deltas(g0, ia, deltas, off_lo, off_hi)
+    read_off = lo <= off_lo and off_hi <= hi
+    j0, window_a, window_b = g0.copy(), [], []
+    if read_off:
+        k0, offset_a = g0.copy(), []
     else:
         # gated apart: widening the union would expand every pair in between
         k0, k1 = _pair_ranges(a, b, off_lo, off_hi)
-    return CellPairs(edges=edges, a=a, b=b, deltas=deltas, j0=j0, j1=j1,
-                     window_a=ia[inside], window_b=ib[inside], k0=k0, k1=k1)
+    # np.histogram's count for explicit edges, without its wrapper: bin i
+    # holds edges[i] <= d < edges[i + 1], and the last bin is closed. So
+    # below[i] counts the differences below edge i, and below[-1] those up
+    # to the last edge; differences outside the edges fall in no bin
+    below = np.zeros(edges.size, dtype=np.int64)
+    for c, ia, ib in _pair_blocks(g0, g1, lo, hi):
+        deltas = b[ib] - a[c:][ia]
+        inside = _tally(j0, c, ia, deltas, w.window_lo, w.window_hi)
+        window_a.append(ia[inside] + c)
+        window_b.append(ib[inside])
+        if read_off:
+            offset_a.append(ia[_tally(k0, c, ia, deltas, off_lo, off_hi)] + c)
+        deltas.sort()
+        below[:-1] += deltas.searchsorted(edges[:-1], "left")
+        below[-1] += deltas.searchsorted(edges[-1], "right")
+    # each A click's range ends after its pairs inside the window
+    window_a = _joined(window_a)
+    j1 = j0 + np.bincount(window_a, minlength=a.size)
+    if read_off:
+        k1 = k0 + np.bincount(_joined(offset_a), minlength=a.size)
+    return CellPairs(edges=edges, a=a, b=b, spectrum_counts=below[1:] - below[:-1], j0=j0, j1=j1,
+                     window_a=window_a, window_b=_joined(window_b), k0=k0, k1=k1)
 
 
 def count_coincidences(pairs: CellPairs) -> int:
@@ -362,15 +420,7 @@ def estimate_accidentals_delayed(pairs: CellPairs) -> int:
 
 def build_spectrum(pairs: CellPairs) -> CoincidenceSpectrum:
     """Histogram every pairing whose difference lies in the range pairs was built with."""
-    # np.histogram's own count for explicit edges, without its wrapper: bin
-    # i holds edges[i] <= d < edges[i + 1], and the last bin is closed.
-    # Differences outside the edges fall in no bin, so the counts sum to the
-    # number of pairings in range
-    edges, deltas = pairs.edges, np.sort(pairs.deltas)
-    cumulative = np.concatenate((deltas.searchsorted(edges[:-1], "left"),
-                                 deltas.searchsorted(edges[-1:], "right")))
-    counts = (cumulative[1:] - cumulative[:-1]).astype(np.int64, copy=False)
-    return CoincidenceSpectrum(bin_edges=edges, counts=counts)
+    return CoincidenceSpectrum(bin_edges=pairs.edges, counts=pairs.spectrum_counts)
 
 
 def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: float) -> float:

@@ -20,8 +20,9 @@ import numpy as np
 from bellsim.validation import check_choice, require_numbers
 
 NS_PER_SECOND = 1.0e9
-# a cell's peak memory grows by about 150 bytes per emission, so this keeps
-# a run under about 3 GB: a scenario runs only as many cells at once, and a
+# a cell's peak memory grows by at most about 140 bytes per emission (traced,
+# an aspect-like Z cell at 2e5/s; 94 to 102 at 3e7/s), so this keeps a run
+# under about 2.8 GB: a scenario runs only as many cells at once, and a
 # sweep only as many processes, as their largest cells fit under it together
 MAX_EMISSIONS_PER_CELL = 20_000_000
 

@@ -4,6 +4,8 @@ import bisect
 import dataclasses
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import bellsim.coincidence
+from bellsim import harness
 from bellsim.coincidence import (
+    CellPairs,
     CoincidenceSpectrum,
     WindowConfig,
     build_spectrum,
@@ -22,6 +26,7 @@ from bellsim.coincidence import (
     estimate_accidentals_delayed,
     estimate_accidentals_product,
     searchsorted_by_difference,
+    spectrum_bin_edges,
 )
 from bellsim.detection import ABSENT, DetectorConfig, simulate_side
 from bellsim.harness import CONFIG_KEYS, run_configuration
@@ -328,9 +333,86 @@ def test_pair_expansion_takes_no_step_per_pair_of_one_click():
     start = time.perf_counter()
     pairs = cell_pairs([0.0], b, W)
     elapsed = time.perf_counter() - start
-    assert pairs.deltas.size == 1_000_000
-    assert np.array_equal(pairs.deltas, b - 0.0)
+    # every pair was expanded, with its difference b - 0.0
+    assert pairs.spectrum_counts.sum() == 1_000_000
+    np.testing.assert_array_equal(pairs.spectrum_counts,
+                                  np.histogram(b - 0.0, bins=pairs.edges)[0])
+    np.testing.assert_array_equal(pairs.window_b, np.flatnonzero((b >= -3.0) & (b <= 17.0)))
     assert elapsed < 2.0
+
+
+def _traced(f, *args):
+    """f(*args) and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_pass_memory_does_not_grow_with_gated_pairs():
+    # 1,000 A and 1,000 B clicks within 1 ns of each other, 50 ns apart: a
+    # million gated pairs, none in the window or the offset window. The
+    # clicks take 16 kB; expanding every pair at once peaked at 40 MB
+    a = np.linspace(0.0, 1.0, 1000)
+    pairs, peak = _traced(cell_pairs, a, a + 50.0, W)
+    assert pairs.spectrum_counts.sum() == 1_000_000 and pairs.window_a.size == 0
+    assert peak < 4 << 20
+
+
+def test_pair_pass_of_one_click_holds_no_pair_length_array():
+    # the million pairs of one click: the gate's merge holds three arrays
+    # of the million B clicks (b, the merged keys and their order), 22.9
+    # MiB; expanding every pair at once peaked at 39.6 MiB
+    b = np.linspace(-100.0, 100.0, 1_000_000)
+    _, peak = _traced(cell_pairs, [0.0], b, W)
+    assert peak < 3 * b.nbytes + (1 << 20)
+
+
+_BLOCK_WINDOWS = [
+    # the offset window [-103, -83] read off the default range [-113, 127]
+    (WindowConfig(), None),
+    # gated apart: the offset window lies beyond the default range
+    (WindowConfig(accidental_offset=300.0), None),
+    # inexact 0.7 ns edges on an explicit range, offset window gated apart
+    (WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7), (-24.1, 15.1)),
+    # the same edges widened to take in the offset window [-124.1, -84.9]
+    (WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7), (-129.1, 15.1)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(st.integers(min_value=0, max_value=400), max_size=30),
+       b=st.lists(st.integers(min_value=0, max_value=400), max_size=30),
+       lone=st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+       scale=st.sampled_from([0.7, 1.0, 7.3]),
+       windows=st.sampled_from(_BLOCK_WINDOWS))
+@example(a=[0, 0, 1, 2], b=[0, 1, 1, 2, 3], lone=[0], scale=1.0, windows=_BLOCK_WINDOWS[0])
+@example(a=[0, 1], b=[0, 0, 0, 0, 0, 0, 0, 0], lone=[], scale=1.0, windows=_BLOCK_WINDOWS[3])
+def test_pair_blocks_give_what_one_block_gives(a, b, lone, scale, windows):
+    # clustered times give chains of A clicks that share B ranges; the lone
+    # A clicks 10 us away pair with nothing, between clicks that do
+    w, spectrum_range = windows
+    a = sorted([t * scale for t in a] + [1.0e4 + t for t in lone])
+    b = sorted(t * scale for t in b)
+    ids_a = np.arange(len(a)) % 3
+    ids_b = np.arange(len(b)) % 4
+    with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", 1 << 30):
+        whole = cell_pairs(a, b, w, spectrum_range)
+    for size in (1, 3, 7):
+        with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", size):
+            pairs = cell_pairs(a, b, w, spectrum_range)
+        for field in dataclasses.fields(CellPairs):
+            got, want = getattr(pairs, field.name), getattr(whole, field.name)
+            assert got.dtype == want.dtype, field.name
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+        assert count_coincidences(pairs) == count_coincidences(whole)
+        assert estimate_accidentals_delayed(pairs) == estimate_accidentals_delayed(whole)
+        np.testing.assert_array_equal(build_spectrum(pairs).counts, build_spectrum(whole).counts)
+        assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
+                == classify_pairs_by_origin(whole, ids_a, ids_b))
+        assert (harness._window_inclusion(pairs, ids_a, ids_b)
+                == harness._window_inclusion(whole, ids_a, ids_b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -359,10 +441,19 @@ def test_spectrum_refuses_mismatched_sizes_and_negative_counts():
         CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=np.array([1, -1]))
 
 
+def test_spectra_add_only_on_the_same_edges():
+    counts = np.array([1, 2], dtype=np.int64)
+    total = (CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=counts)
+             + CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=counts))
+    np.testing.assert_array_equal(total.counts, [2, 4])
+    with pytest.raises(ValueError, match="different bin edges"):
+        (CoincidenceSpectrum(bin_edges=np.arange(3.0), counts=counts)
+         + CoincidenceSpectrum(bin_edges=np.arange(3.0) + 0.5, counts=counts))
+
+
 def _spectrum_of(deltas, w: WindowConfig, spectrum_range):
-    """build_spectrum over the given differences, on the edges cell_pairs builds for w."""
-    pairs = dataclasses.replace(cell_pairs([], [], w, spectrum_range), deltas=np.asarray(deltas))
-    return build_spectrum(pairs)
+    """build_spectrum over the given differences: one A click at 0 and a B click at each."""
+    return build_spectrum(cell_pairs([0.0], np.sort(deltas), w, spectrum_range))
 
 
 def test_spectrum_counts_like_np_histogram_past_its_block_size():
@@ -378,7 +469,7 @@ def test_spectrum_counts_like_np_histogram_past_its_block_size():
 def test_spectrum_counts_like_np_histogram_on_and_beside_every_edge():
     # 0.7 ns bins from -24.1: the edges are inexact, and the last is closed
     w = WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7)
-    edges = _spectrum_of([], w, (-24.1, 15.1)).bin_edges
+    edges = spectrum_bin_edges(w, (-24.1, 15.1))
     deltas = np.concatenate((edges, edges[-1:], np.nextafter(edges, -np.inf),
                              np.nextafter(edges, np.inf)))
     spectrum = _spectrum_of(deltas, w, (-24.1, 15.1))
