@@ -249,9 +249,9 @@ def _pair_blocks(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
 
     Yields (c, ia, ib) for each block of PAIR_BLOCK consecutive pairs: pair k
     joins A click c + ia[k] and B click ib[k]. Blocks are cut at pair
-    indices, so one A click's pairs may span two blocks. A cell yields at
-    least one block, empty when it has no pairs. More than
-    MAX_PAIRS_PER_CELL pairs are refused before any is allocated.
+    indices, so one A click's pairs may span two blocks, and a cell with
+    no pairs yields none. More than MAX_PAIRS_PER_CELL pairs are refused
+    before any is allocated.
     """
     counts = j1 - j0
     total = int(counts.sum())
@@ -264,17 +264,15 @@ def _pair_blocks(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
     # pair k of A click i is B index k + shift[i]
     shift = j0 - (ends - counts)
     c = 0
-    for start in range(0, max(total, 1), PAIR_BLOCK):
+    for start in range(0, total, PAIR_BLOCK):
         stop = min(start + PAIR_BLOCK, total)
         # A clicks c, which holds pair start, to c1 - 1, which holds pair stop - 1.
-        # A cut takes pairs only from those two; held views counts, and a
-        # count the cut overwrote is set again from ends in the next block
+        # A cut takes pairs only from those two, none at the cell's ends; held
+        # views counts, and the next block sets an overwritten count again
         c1 = int(ends.searchsorted(stop)) + 1
         held = counts[c:c1]
-        if start:
-            held[0] = ends[c] - start
-        if stop < total:
-            held[-1] -= ends[c1 - 1] - stop
+        held[0] = ends[c] - start
+        held[-1] -= ends[c1 - 1] - stop
         yield c, np.arange(held.size).repeat(held), np.arange(start, stop) + shift[c:c1].repeat(held)
         c = c1 - 1
 
@@ -354,11 +352,6 @@ def _tally(j0: np.ndarray, c: int, ia: np.ndarray, deltas: np.ndarray,
     return ((deltas <= hi) ^ under).nonzero()[0]
 
 
-def _joined(blocks: list[np.ndarray]) -> np.ndarray:
-    """The blocks' arrays end to end; the array of a single block is not copied."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def cell_pairs(times_a, times_b, w: WindowConfig,
                spectrum_range: tuple[float, float] | None = None) -> CellPairs:
     """Gate every pair of one cell once, over the spectrum range and the window together.
@@ -366,8 +359,9 @@ def cell_pairs(times_a, times_b, w: WindowConfig,
     The pairs are expanded PAIR_BLOCK at a time. Each block adds its pairs
     to the spectrum, moves the start of each A click's window and
     offset-window ranges past its pairs below them, and keeps the pairs
-    inside them, from which the ranges' ends are counted. Counts add
-    exactly across blocks, so nothing depends on the block size.
+    inside them, from which the ranges' ends are counted. A cell with no
+    pairs has no block and keeps none. Counts add exactly across blocks,
+    so nothing depends on the block size.
     """
     a = _as_sorted_array(times_a, "times_a")
     b = _as_sorted_array(times_b, "times_b") + w.channel_delay
@@ -378,9 +372,9 @@ def cell_pairs(times_a, times_b, w: WindowConfig,
     off_lo = w.window_lo - w.accidental_offset
     off_hi = w.window_hi - w.accidental_offset
     read_off = lo <= off_lo and off_hi <= hi
-    j0, window_a, window_b = g0.copy(), [], []
+    j0, window_a, window_b = g0.copy(), [g0[:0]], [g0[:0]]
     if read_off:
-        k0, offset_a = g0.copy(), []
+        k0, offset_a = g0.copy(), [g0[:0]]
     else:
         # gated apart: widening the union would expand every pair in between
         k0, k1 = _pair_ranges(a, b, off_lo, off_hi)
@@ -400,12 +394,12 @@ def cell_pairs(times_a, times_b, w: WindowConfig,
         below[:-1] += deltas.searchsorted(edges[:-1], "left")
         below[-1] += deltas.searchsorted(edges[-1], "right")
     # each A click's range ends after its pairs inside the window
-    window_a = _joined(window_a)
+    window_a = np.concatenate(window_a)
     j1 = j0 + np.bincount(window_a, minlength=a.size)
     if read_off:
-        k1 = k0 + np.bincount(_joined(offset_a), minlength=a.size)
+        k1 = k0 + np.bincount(np.concatenate(offset_a), minlength=a.size)
     return CellPairs(edges=edges, a=a, b=b, spectrum_counts=below[1:] - below[:-1], j0=j0, j1=j1,
-                     window_a=window_a, window_b=_joined(window_b), k0=k0, k1=k1)
+                     window_a=window_a, window_b=np.concatenate(window_b), k0=k0, k1=k1)
 
 
 def count_coincidences(pairs: CellPairs) -> int:

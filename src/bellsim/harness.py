@@ -65,6 +65,7 @@ import io
 import math
 import os
 import pickle
+import re
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -701,8 +702,9 @@ def parse_counts_file(path) -> RunCounts:
     """Read a RunCounts table from a JSON or CSV file.
 
     JSON: one object whose keys are RunCounts field names. CSV: a header of
-    field names and exactly one data row; empty cells mean absent. Errors
-    carry the file name plus the line or field at fault.
+    field names and exactly one data row; empty cells mean absent, and any
+    other cell must be a JSON number. Errors carry the file name plus the
+    line or field at fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -727,12 +729,13 @@ def parse_counts_file(path) -> RunCounts:
                 raise ValueError(f"{name}: line 2 has more cells than the header")
             if cell is None or cell.strip() == "":
                 continue
-            try:
-                parsed[field] = float(cell)
-            except ValueError:
+            # a JSON number in ASCII digits: float() alone also takes 1_000,
+            # +5, .5, 5., 0012 and other scripts' digits
+            if not re.fullmatch(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?",
+                                cell.strip()):
                 raise ValueError(
-                    f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number"
-                ) from None
+                    f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number")
+            parsed[field] = float(cell)
     try:
         return RunCounts.from_dict(parsed)
     except ValueError as exc:

@@ -193,6 +193,21 @@ def test_refused_input_is_one_json_line(tmp_path, capsys, command, name, text, w
     assert words in json.loads(captured.err)["error"]["message"]
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "+5", ".5", "5.", "0012"])
+def test_counts_csv_cell_that_is_no_json_number_is_refused(tmp_path, capsys, cell):
+    # float() reads each of these, as 1000.0, 12.0, 5.0, 0.5, 5.0 and 12.0
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(cell)
+    path = tmp_path / "counts.csv"
+    path.write_text(f"x,y,z,Z\n1,{cell},3,4\n", encoding="utf-8")
+    assert main(["stats", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == f"{path}: line 2, field 'y': could not parse {cell!r} as a number"
+
+
 def test_malformed_counts_is_json_error(tmp_path, capsys):
     path = tmp_path / "counts.json"
     path.write_text('{"x": 1, "y": 2}')  # missing z and Z

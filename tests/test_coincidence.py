@@ -415,6 +415,103 @@ def test_pair_blocks_give_what_one_block_gives(a, b, lone, scale, windows):
                 == harness._window_inclusion(whole, ids_a, ids_b))
 
 
+def _block_sizes(a, b, w, spectrum_range, size):
+    """cell_pairs(a, b, ...) with PAIR_BLOCK = size, and the pair count of each block it ran."""
+    sizes = []
+    walk = bellsim.coincidence._pair_blocks
+
+    def counted(*args):
+        for c, ia, ib in walk(*args):
+            sizes.append(ia.size)
+            yield c, ia, ib
+
+    with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", size), \
+            mock.patch.object(bellsim.coincidence, "_pair_blocks", counted):
+        return cell_pairs(a, b, w, spectrum_range), sizes
+
+
+def _assert_same_cell(pairs, whole, ids_a, ids_b):
+    for field in dataclasses.fields(CellPairs):
+        got, want = getattr(pairs, field.name), getattr(whole, field.name)
+        assert got.dtype == want.dtype, field.name
+        np.testing.assert_array_equal(got, want, err_msg=field.name)
+    assert count_coincidences(pairs) == count_coincidences(whole)
+    assert estimate_accidentals_delayed(pairs) == estimate_accidentals_delayed(whole)
+    np.testing.assert_array_equal(build_spectrum(pairs).counts, build_spectrum(whole).counts)
+    assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
+            == classify_pairs_by_origin(whole, ids_a, ids_b))
+    assert (harness._window_inclusion(pairs, ids_a, ids_b)
+            == harness._window_inclusion(whole, ids_a, ids_b))
+
+
+@pytest.mark.parametrize("windows", _BLOCK_WINDOWS)
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_pair_blocks_cut_at_the_cell_ends_and_between(windows, blocks):
+    # PAIR_BLOCK set so that the gated pairs fill exactly one block, exactly
+    # two, or two and one pair more: the walk's cuts at the cell's first and
+    # last pair, and one or two between, which may split an A click's pairs
+    w, spectrum_range = windows
+    rng = np.random.default_rng(blocks)
+    a = list(np.sort(rng.uniform(0.0, 300.0, 20)).round(1))
+    b = list(np.sort(rng.uniform(0.0, 300.0, 25)).round(1))
+    edges = spectrum_bin_edges(w, spectrum_range)
+    lo, hi = edges[0], max(edges[-1], w.window_hi)
+
+    def gated():
+        d = np.add.outer(-np.asarray(a), np.asarray(b) + w.channel_delay)
+        return int(((d >= lo) & (d <= hi)).sum())
+
+    # an A and a B click 10 us away add one pair, to reach the parity wanted
+    if blocks > 1 and gated() % 2 != blocks % 2:
+        a.append(1.0e4)
+        b.append(1.0e4 + 1.0)
+    total = gated()
+    size = {1: total, 2: total // 2, 3: (total - 1) // 2}[blocks]
+    ids_a, ids_b = np.arange(len(a)) % 3, np.arange(len(b)) % 4
+    whole, one = _block_sizes(a, b, w, spectrum_range, 1 << 30)
+    pairs, cut = _block_sizes(a, b, w, spectrum_range, size)
+    assert one == [total] and cut == [size] * (total // size) + [1] * (blocks == 3)
+    _assert_same_cell(pairs, whole, ids_a, ids_b)
+
+
+@pytest.mark.parametrize("windows", _BLOCK_WINDOWS)
+def test_pair_blocks_split_one_click_over_more_than_two_blocks(windows):
+    # in blocks of 5, the pairs of the A click at 100 with the B clicks
+    # 80 to 120 span more than two blocks, beside clicks whose pairs do not
+    w, spectrum_range = windows
+    a = [-300.0, 40.0, 100.0, 101.5, 400.0]
+    b = list(np.linspace(80.0, 120.0, 61))
+    d = np.asarray(b) + w.channel_delay - 100.0
+    edges = spectrum_bin_edges(w, spectrum_range)
+    assert ((d >= edges[0]) & (d <= max(edges[-1], w.window_hi))).sum() > 2 * 5 + 1
+    ids_a, ids_b = np.arange(len(a)) % 3, np.arange(len(b)) % 4
+    whole, one = _block_sizes(a, b, w, spectrum_range, 1 << 30)
+    pairs, cut = _block_sizes(a, b, w, spectrum_range, 5)
+    assert len(cut) > 2 and sum(cut) == sum(one)
+    _assert_same_cell(pairs, whole, ids_a, ids_b)
+
+
+@pytest.mark.parametrize("windows", _BLOCK_WINDOWS)
+@pytest.mark.parametrize("a, b", [([], [0.0, 1.0]), ([0.0, 1.0], [1.0e4]), ([0.0, 1.0], [])],
+                         ids=["no-a-clicks", "no-pairs", "no-b-clicks"])
+def test_cell_without_pairs_runs_no_block_and_keeps_a_paired_cells_dtypes(windows, a, b):
+    w, spectrum_range = windows
+    paired = cell_pairs([0.0, 5.0], [1.0, 30.0], w, spectrum_range)
+    assert paired.window_a.size
+    pairs, cut = _block_sizes(a, b, w, spectrum_range, 1 << 30)
+    assert cut == []
+    for field in dataclasses.fields(CellPairs):
+        got, want = getattr(pairs, field.name), getattr(paired, field.name)
+        assert got.dtype == want.dtype, field.name
+    for field in ("j0", "j1", "k0", "k1"):
+        assert getattr(pairs, field).size == len(a), field
+    assert pairs.window_a.size == pairs.window_b.size == 0
+    assert pairs.spectrum_counts.size == paired.spectrum_counts.size
+    assert not pairs.spectrum_counts.any()
+    assert count_coincidences(pairs) == estimate_accidentals_delayed(pairs) == 0
+    assert classify_pairs_by_origin(pairs, np.arange(len(a)), np.arange(len(b))) == (0, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=st.lists(st.integers(min_value=0, max_value=300), max_size=30),
        b=st.lists(st.integers(min_value=0, max_value=300), max_size=30),

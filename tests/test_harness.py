@@ -942,6 +942,16 @@ def test_parse_counts_csv_empty_cells_mean_absent(tmp_path):
     assert not counts.has_accidentals
 
 
+def test_parse_counts_csv_reads_json_numbers_as_float_does(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("x,y,z,Z\n1E3, 12 ,-0,86.8\n")
+    counts = parse_counts_file(path)
+    got = [counts.x, counts.y, counts.z, counts.Z]
+    assert [(v, math.copysign(1.0, v)) for v in got] == [
+        (v, math.copysign(1.0, v)) for v in map(float, ["1E3", " 12 ", "-0", "86.8"])]
+    assert got == [json.loads(c) for c in ["1E3", " 12 ", "-0", "86.8"]]
+
+
 def test_parse_counts_precise_errors(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text('{"x": 1,\n "y": }')
