@@ -20,17 +20,16 @@ spectrum, the ground truth and the harness's window-inclusion
 diagnostic. cell_pairs gates over the union of the spectrum range and
 the window, not over the spectrum edges alone: an edge computed as
 lo + k * bin_width can fall one ulp short of window_hi.
-It expands the gated pairs PAIR_BLOCK at a time and takes each pair's
-difference b - a. The spectrum histograms the differences inside its
-edges. Each A click's window range is read off its own differences: the
-range starts after those below window_lo and holds those inside the
-window. The difference is monotone in b, so these are the ranges the
-gate returns. The offset window of the delayed estimate,
-[window_lo - offset, window_hi - offset] on the same differences, is
-read off them the same way. Only when it does not lie inside the gated
-range (a huge offset, or a tight spectrum range) is it gated apart, over
-the same arrays; widening the union instead would expand every pair in
-between. Of the pairs, only those inside the window are kept.
+It expands the gated pairs PAIR_BLOCK at a time, none past its block, and
+takes each pair's difference b - a. The spectrum histograms the
+differences inside its edges. An A click's window range starts after its
+differences below the window and ends after those inside it, counted per
+block; the difference is monotone in b, so these are the ranges the gate
+returns. The offset window of the delayed estimate, [window_lo - offset,
+window_hi - offset], is read off the same differences, unless it does not
+lie inside the gated range (a huge offset, or a tight spectrum range):
+then it is gated apart, since widening the union would expand every pair
+in between. The ground truth counts the window pairs of one emission.
 
 The one-use count needs no per-click loop. With [j0, j1) an A click's
 range, the two-pointer greedy gives click i the B index max(j0[i], prev + 1)
@@ -57,10 +56,9 @@ from bellsim.source import NS_PER_SECOND
 from bellsim.validation import check_number, require_numbers
 
 MAX_SPECTRUM_BINS = 1_000_000
-# a cell keeps only its window pairs, 16 bytes each, so where the spectrum
-# range is the window and every gated pair lies in it, they stay under 0.8 GB;
-# a 3e7/s aspect-like Z cell gated 2,140,887 pairs in 0.12 s and kept 377,456.
-# A scenario's lanes and a sweep's processes each run one cell at a time
+# a cell holds one block of pairs at a time, so this bounds its time, not its
+# memory: a 3e7/s aspect-like Z cell gated 2,140,887 pairs in 0.08 s on a
+# 2-core box, so the cap holds one cell's pair pass to about 2 s
 MAX_PAIRS_PER_CELL = 50_000_000
 # pairs expanded at once. perfbench dense-rate-sweep, two 6 s runs each on a
 # 2-core box: 6.5-6.7 M emissions/s and a 45.0 MB peak at 8,192; 6.6-6.8 M and
@@ -251,7 +249,8 @@ def _pair_blocks(j0: np.ndarray, j1: np.ndarray, lo: float, hi: float):
     joins A click c + ia[k] and B click ib[k]. Blocks are cut at pair
     indices, so one A click's pairs may span two blocks, and a cell with
     no pairs yields none. More than MAX_PAIRS_PER_CELL pairs are refused
-    before any is allocated.
+    before any is allocated. j0 is read only before the first block, so
+    the caller may then move it.
     """
     counts = j1 - j0
     total = int(counts.sum())
@@ -316,90 +315,87 @@ def spectrum_bin_edges(w: WindowConfig,
 
 @dataclass(frozen=True, eq=False)
 class CellPairs:
-    """One cell's click pairs, gated once by cell_pairs.
+    """What the consumers read of one cell's click pairs, gated once by cell_pairs.
 
-    a holds the A times and b the B times plus the channel delay. edges
-    are the spectrum's bin edges and spectrum_counts the number of pairs
-    b - a in each bin. [j0[i], j1[i]) is the range of B indices inside A
-    click i's window, and window_a, window_b are the A and B indices of
-    every pair in the window. [k0[i], k1[i]) is A click i's range in the
-    offset window [window_lo - accidental_offset, window_hi - accidental_offset].
+    edges are the spectrum's bin edges and spectrum_counts its bin counts.
+    [j0[i], j1[i]) is the range of B indices inside A click i's window, and
+    [k0[i], k1[i]) in the offset window [window_lo - accidental_offset,
+    window_hi - accidental_offset]. same_emission counts the window pairs
+    whose two clicks come from one emission.
     """
 
     edges: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     spectrum_counts: np.ndarray
     j0: np.ndarray
     j1: np.ndarray
-    window_a: np.ndarray
-    window_b: np.ndarray
     k0: np.ndarray
     k1: np.ndarray
+    same_emission: int
 
 
-def _tally(j0: np.ndarray, c: int, ia: np.ndarray, deltas: np.ndarray,
+def _tally(j0: np.ndarray, n: np.ndarray, c: int, ia: np.ndarray, deltas: np.ndarray,
            lo: float, hi: float) -> np.ndarray:
-    """Move each A click's range start j0 past its block pairs below lo; return those inside [lo, hi].
+    """Add to each A click's j0 its block pairs below lo, and to its n those inside [lo, hi].
 
     An A click's differences rise with b, so the ones below lo and the ones
     inside [lo, hi] are consecutive runs of its gated range; [lo, hi] must
-    lie inside that range. The returned indices count from the block's start.
+    lie inside that range. Returns the indices of the pairs inside, from
+    the block's start.
     """
     under = deltas < lo
-    n = np.bincount(ia[under.nonzero()[0]])
-    j0[c:c + n.size] += n
-    return ((deltas <= hi) ^ under).nonzero()[0]
+    inside = ((deltas <= hi) ^ under).nonzero()[0]
+    for counted, picked in ((j0, under.nonzero()[0]), (n, inside)):
+        m = np.bincount(ia[picked])
+        counted[c:c + m.size] += m
+    return inside
 
 
-def cell_pairs(times_a, times_b, w: WindowConfig,
+def cell_pairs(times_a, times_b, ids_a, ids_b, w: WindowConfig,
                spectrum_range: tuple[float, float] | None = None) -> CellPairs:
     """Gate every pair of one cell once, over the spectrum range and the window together.
 
-    The pairs are expanded PAIR_BLOCK at a time. Each block adds its pairs
-    to the spectrum, moves the start of each A click's window and
-    offset-window ranges past its pairs below them, and keeps the pairs
-    inside them, from which the ranges' ends are counted. A cell with no
-    pairs has no block and keeps none. Counts add exactly across blocks,
-    so nothing depends on the block size.
+    ids_a and ids_b tag each click with its emission. The pairs are
+    expanded PAIR_BLOCK at a time. Each block adds its pairs to the
+    spectrum, to the window and offset-window range starts the pairs below
+    them, to the ranges' lengths those inside, and to the ground truth its
+    window pairs of one emission. Counts add exactly across blocks, so
+    nothing depends on the block size.
     """
     a = _as_sorted_array(times_a, "times_a")
     b = _as_sorted_array(times_b, "times_b") + w.channel_delay
+    ids_a, ids_b = np.asarray(ids_a), np.asarray(ids_b)
+    if ids_a.size != a.size or ids_b.size != b.size:
+        raise ValueError("emission id arrays must match the click arrays in length")
     edges = spectrum_bin_edges(w, spectrum_range)
     # edges[0] <= window_lo, but the last edge can round one ulp below window_hi
     lo, hi = float(edges[0]), max(float(edges[-1]), w.window_hi)
-    g0, g1 = _pair_ranges(a, b, lo, hi)
+    j0, g1 = _pair_ranges(a, b, lo, hi)
+    j1 = np.zeros_like(j0)  # each click's window pairs until the blocks are done
     off_lo = w.window_lo - w.accidental_offset
     off_hi = w.window_hi - w.accidental_offset
     read_off = lo <= off_lo and off_hi <= hi
-    j0, window_a, window_b = g0.copy(), [g0[:0]], [g0[:0]]
-    if read_off:
-        k0, offset_a = g0.copy(), [g0[:0]]
-    else:
-        # gated apart: widening the union would expand every pair in between
-        k0, k1 = _pair_ranges(a, b, off_lo, off_hi)
+    # gated apart: widening the union would expand every pair in between
+    k0, k1 = (j0.copy(), np.zeros_like(j0)) if read_off else _pair_ranges(a, b, off_lo, off_hi)
     # np.histogram's count for explicit edges, without its wrapper: bin i
     # holds edges[i] <= d < edges[i + 1], and the last bin is closed. So
     # below[i] counts the differences below edge i, and below[-1] those up
     # to the last edge; differences outside the edges fall in no bin
     below = np.zeros(edges.size, dtype=np.int64)
-    for c, ia, ib in _pair_blocks(g0, g1, lo, hi):
+    same = 0
+    for c, ia, ib in _pair_blocks(j0, g1, lo, hi):
         deltas = b[ib] - a[c:][ia]
-        inside = _tally(j0, c, ia, deltas, w.window_lo, w.window_hi)
-        window_a.append(ia[inside] + c)
-        window_b.append(ib[inside])
+        inside = _tally(j0, j1, c, ia, deltas, w.window_lo, w.window_hi)
+        same += int(np.count_nonzero(ids_a[c:][ia[inside]] == ids_b[ib[inside]]))
         if read_off:
-            offset_a.append(ia[_tally(k0, c, ia, deltas, off_lo, off_hi)] + c)
+            _tally(k0, k1, c, ia, deltas, off_lo, off_hi)
         deltas.sort()
         below[:-1] += deltas.searchsorted(edges[:-1], "left")
         below[-1] += deltas.searchsorted(edges[-1], "right")
-    # each A click's range ends after its pairs inside the window
-    window_a = np.concatenate(window_a)
-    j1 = j0 + np.bincount(window_a, minlength=a.size)
+    j1 += j0
     if read_off:
-        k1 = k0 + np.bincount(np.concatenate(offset_a), minlength=a.size)
-    return CellPairs(edges=edges, a=a, b=b, spectrum_counts=below[1:] - below[:-1], j0=j0, j1=j1,
-                     window_a=window_a, window_b=np.concatenate(window_b), k0=k0, k1=k1)
+        k1 += k0
+    return CellPairs(edges=edges, spectrum_counts=below[1:] - below[:-1], j0=j0, j1=j1,
+                     k0=k0, k1=k1, same_emission=same)
 
 
 def count_coincidences(pairs: CellPairs) -> int:
@@ -426,17 +422,12 @@ def estimate_accidentals_product(n_a: int, n_b: int, w: WindowConfig, duration: 
     return n_a * n_b * w.span / (duration * NS_PER_SECOND)
 
 
-def classify_pairs_by_origin(pairs: CellPairs, ids_a, ids_b) -> tuple[int, int]:
+def classify_pairs_by_origin(pairs: CellPairs) -> tuple[int, int]:
     """Split a cell's in-window pairings into same-emission and different-emission.
 
-    ids_a and ids_b tag each click with its emission. This is a
-    simulation-only ground truth that no real counting experiment can
-    access. Pairings are all-pairs in the window, so the two add up to
-    every pairing in it.
+    A simulation-only ground truth, from the emission ids cell_pairs took,
+    that no real counting experiment can access. Pairings are all-pairs in
+    the window, so the two add up to the window ranges' total length.
     """
-    ja = np.asarray(ids_a)
-    jb = np.asarray(ids_b)
-    if ja.size != pairs.a.size or jb.size != pairs.b.size:
-        raise ValueError("emission id arrays must match the click arrays in length")
-    same = int(np.count_nonzero(ja[pairs.window_a] == jb[pairs.window_b]))
-    return same, int(pairs.window_a.size - same)
+    window = int((pairs.j1 - pairs.j0).sum())
+    return pairs.same_emission, window - pairs.same_emission

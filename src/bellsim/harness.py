@@ -100,7 +100,7 @@ from bellsim.detection import (
 )
 from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
 from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
-                                parse_json, require_numbers)
+                                float_literal, parse_json, require_numbers)
 
 # report variant -> (ConfigurationResult count field, accidental field or None, BellReport label)
 VARIANTS = {
@@ -331,10 +331,10 @@ def _run_cell(s: ScenarioConfig, config_index: int, repeat: int, key: str) -> Co
     # freed before the pair pass, the small generators too: left alive, they
     # raised a dense sweep's peak memory by about 0.6 MB on a 2-core machine
     del stream, rng_em, rng_a, rng_b
-    pairs = cell_pairs(clicks_a.times, clicks_b.times, s.window, s.spectrum_range)
+    pairs = cell_pairs(clicks_a.times, clicks_b.times, clicks_a.emission_index,
+                       clicks_b.emission_index, s.window, s.spectrum_range)
     inside, total = _window_inclusion(pairs, clicks_a.emission_index, clicks_b.emission_index)
-    true_pairs, accidental_pairs = classify_pairs_by_origin(pairs, clicks_a.emission_index,
-                                                            clicks_b.emission_index)
+    true_pairs, accidental_pairs = classify_pairs_by_origin(pairs)
     return ConfigurationResult(
         key=key,
         angle_a=set_a.angle,
@@ -706,7 +706,7 @@ def parse_counts_file(path) -> RunCounts:
     other cell must be a JSON number. Errors carry the file name plus the
     line or field at fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     name = str(path)
     stripped = text.lstrip()
@@ -735,7 +735,7 @@ def parse_counts_file(path) -> RunCounts:
                                 cell.strip()):
                 raise ValueError(
                     f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number")
-            parsed[field] = float(cell)
+            parsed[field] = float_literal(cell.strip(), f"{name}: line 2, field {field!r}:")
     try:
         return RunCounts.from_dict(parsed)
     except ValueError as exc:

@@ -78,7 +78,7 @@ def bundled_counts_path() -> Path:
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_json(str(path), fh.read())
 
 

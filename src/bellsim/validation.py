@@ -100,14 +100,22 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def float_literal(literal: str, where: str = "number") -> float:
+    """A JSON number literal as a float; one that overflows is refused as written, after where."""
+    if math.isinf(value := float(literal)):
+        raise ValueError(f"{where} {literal} is too large for a float")
+    return value
+
+
 def parse_json(name: str, text: str):
     """json.loads on the text of the file name, refusing bad JSON with a ValueError naming it.
 
-    A key given twice in one object is refused, not read last-wins.
+    A key given twice in one object is refused, not read last-wins, and so
+    is a number with a fraction or an exponent that overflows a float.
     """
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_float=float_literal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # a key given twice, or an integer too long to convert
+    except ValueError as exc:  # a key given twice, a float overflow, or an overlong integer
         raise ValueError(f"{name}: {exc}") from None

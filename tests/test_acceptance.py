@@ -203,9 +203,10 @@ def test_criterion_8_spectrum_tail_and_flat_floor(capsys):
         stream = generate_emissions(
             EmissionConfig(mean_rate=2.2e5, duration=0.5), np.random.default_rng(seed))
         cfg = DetectorConfig(jitter_sigma=0.0, dead_time=0.0)
-        clicks.append(simulate_side(stream, side, ABSENT, cfg,
-                                    np.random.default_rng(seed + 10)).times)
-    flat = build_spectrum(cell_pairs(clicks[0], clicks[1], w, (-100.0, 100.0)))
+        clicks.append(simulate_side(stream, side, ABSENT, cfg, np.random.default_rng(seed + 10)))
+    a, b = clicks
+    flat = build_spectrum(cell_pairs(a.times, b.times, a.emission_index, b.emission_index, w,
+                                     (-100.0, 100.0)))
     p_value = float(scipy.stats.chisquare(flat.counts).pvalue)
 
     ok = abs(tau - 5.0) <= 0.5 and p_value > 1e-3

@@ -305,6 +305,49 @@ def test_integer_too_large_for_a_float_is_json_error(tmp_path, capsys, command, 
     assert field in error["message"]
 
 
+@pytest.mark.parametrize("command, name, text, literal", [
+    ("stats", "counts.json", '{"x": 1e400, "y": 3, "z": 6, "Z": 16}', "number 1e400"),
+    ("stats", "counts.csv", "x,y,z,Z\n1,-1e400,3,4\n", "line 2, field 'y': -1e400"),
+    ("simulate", "scenario.json", '{"emission": {"mean_rate": 1e400, "duration": 0.01}}',
+     "number 1e400"),
+    ("sweep", "sweep.json", '{"parameter": "mean_rate", "values": [1e4, 2.5E+400],'
+                            ' "scenario": {"emission": {"duration": 0.01}}}', "number 2.5E+400"),
+], ids=["counts-json", "counts-csv", "scenario", "sweep"])
+def test_float_literal_too_large_for_a_float_is_refused_as_written(tmp_path, capsys, command,
+                                                                    name, text, literal):
+    # json and float() read these as inf; the message names the literal, not inf
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError",
+                     "message": f"{path}: {literal} is too large for a float"}
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("stats", "counts.csv", "x,y,z,Z\n1,2,3,4\n"),
+    ("stats", "counts.json", '{"x": 1, "y": 3, "z": 6, "Z": 16}'),
+    ("simulate", "scenario.json", '{"preset": "aspect-like", "emission": {"duration": 0.001}}'),
+    ("sweep", "sweep.json", '{"parameter": "mean_rate", "values": [1e4],'
+                            ' "scenario": {"emission": {"duration": 0.001}}}'),
+], ids=["counts-csv", "counts-json", "scenario", "sweep"])
+def test_file_with_a_byte_order_mark_gives_the_plain_files_bytes(tmp_path, capsys, command,
+                                                                  name, text):
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / f"bom-{name}"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    outputs = []
+    for path in (plain, marked):
+        assert main([command, str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out != ""
+
+
 @pytest.mark.parametrize("command, document, field", [
     ("simulate", {"preset": ["aspect-like"]}, "preset"),
     ("sweep", {"parameter": "mean_rate", "values": [1.0e4], "scenario": []}, "scenario"),

@@ -41,13 +41,19 @@ def _poisson_clicks(rng, rate_per_s: float, duration_s: float) -> np.ndarray:
     return np.sort(rng.uniform(0.0, duration_s * 1.0e9, n))
 
 
+def _cell(a, b, w=W, spectrum_range=None):
+    """cell_pairs where the emission ids do not matter: every click is emission 0."""
+    return cell_pairs(a, b, np.zeros(np.size(a), dtype=np.int64),
+                      np.zeros(np.size(b), dtype=np.int64), w, spectrum_range)
+
+
 def _count(a, b, w=W) -> int:
-    return count_coincidences(cell_pairs(a, b, w))
+    return count_coincidences(_cell(a, b, w))
 
 
 def _all_pairs(pairs) -> int:
     # every pairing in the window, reuse allowed: the sum of the ground-truth split
-    return sum(classify_pairs_by_origin(pairs, np.zeros(pairs.a.size), np.zeros(pairs.b.size)))
+    return sum(classify_pairs_by_origin(pairs))
 
 
 def _window_integral(spectrum, lo: float, hi: float) -> int:
@@ -74,11 +80,11 @@ def test_count_uses_channel_delay():
 
 def test_count_rejects_unsorted():
     with pytest.raises(ValueError):
-        cell_pairs([5.0, 1.0], [0.0], W)
+        _cell([5.0, 1.0], [0.0])
     with pytest.raises(ValueError):
-        cell_pairs([0.0], [5.0, 1.0], W)
+        _cell([0.0], [5.0, 1.0])
     with pytest.raises(ValueError, match="times_b must be one-dimensional"):
-        cell_pairs([0.0], [[0.0, 1.0]], W)
+        _cell([0.0], [[0.0, 1.0]])
 
 
 def _reference_one_use_count(a, b, lo, hi):
@@ -146,7 +152,7 @@ def test_count_and_pairs_gate_on_the_difference_at_rounded_edges(a, picks, lo, s
     chosen = [a[i % len(a)] for i in picks]
     b = sorted([t + lo for t in chosen] + [t + hi for t in chosen])
     w = WindowConfig(window_lo=lo, window_hi=hi, accidental_offset=1.0e6)
-    pairs = cell_pairs(a, b, w)
+    pairs = _cell(a, b, w)
     one_use = count_coincidences(pairs)
     assert one_use == _reference_one_use_count(a, b, lo, hi)
     all_pairs = sum(lo <= tb - ta <= hi for ta in a for tb in b)
@@ -162,9 +168,9 @@ def test_pair_consumers_share_the_counter_window_gate(a):
     w = WindowConfig(window_lo=-2.7, window_hi=17.3)
     for b in (a + w.window_lo, a + w.window_hi):
         inside = int(w.window_lo <= b - a <= w.window_hi)
-        pairs = cell_pairs([a], [b], w)
+        pairs = cell_pairs([a], [b], [0], [0], w)
         assert count_coincidences(pairs) == inside
-        assert classify_pairs_by_origin(pairs, [0], [0]) == (inside, 0)
+        assert classify_pairs_by_origin(pairs) == (inside, 0)
     assert a + w.window_lo - a < w.window_lo or a + w.window_hi - a > w.window_hi
 
 
@@ -207,7 +213,7 @@ def test_shared_pairs_feed_every_consumer_exactly(base, a, b, picks, lo, span_bi
                      bin_width=bin_width, accidental_offset=offset)
     spectrum_range = None if pad is None else (lo - pad[0] * bin_width,
                                                hi + pad[1] * bin_width)
-    pairs = cell_pairs(a, b, w, spectrum_range)
+    pairs = cell_pairs(a, b, ids_a, ids_b, w, spectrum_range)
     shifted = [t + delay for t in b]
 
     assert count_coincidences(pairs) == _reference_one_use_count(a, shifted, lo, hi)
@@ -223,7 +229,7 @@ def test_shared_pairs_feed_every_consumer_exactly(base, a, b, picks, lo, span_bi
 
     in_window = [(ea == eb) for ta, ea in zip(a, ids_a) for tb, eb in zip(shifted, ids_b)
                  if lo <= tb - ta <= hi]
-    assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
+    assert (classify_pairs_by_origin(pairs)
             == (sum(in_window), len(in_window) - sum(in_window)))
 
 
@@ -231,10 +237,10 @@ def test_shared_pairs_gate_the_window_past_a_rounded_last_edge():
     # 56 bins of 0.7 ns from -24.1 end at 15.099999999999994, one ulp-ish
     # short of the window's 15.1: a gate over the edges alone loses the pair
     w = WindowConfig(window_lo=-24.1, window_hi=15.1, bin_width=0.7)
-    pairs = cell_pairs([0.0], [15.1], w, (-24.1, 15.1))
+    pairs = cell_pairs([0.0], [15.1], [0], [0], w, (-24.1, 15.1))
     assert pairs.edges[-1] < w.window_hi
     assert count_coincidences(pairs) == 1
-    assert classify_pairs_by_origin(pairs, [0], [0]) == (1, 0)
+    assert classify_pairs_by_origin(pairs) == (1, 0)
     assert build_spectrum(pairs).total_pairs_considered == 0
 
 
@@ -316,36 +322,40 @@ def test_pair_range_upper_end_gates_on_the_difference(a, hi, inside):
                                   ([0.0], [-math.inf, 1.0])])
 def test_pair_consumers_reject_non_finite_times(a, b):
     with pytest.raises(ValueError, match="finite"):
-        cell_pairs(a, b, W)
+        _cell(a, b)
 
 
 def test_pair_expansion_is_capped_before_allocating():
     # 8,000 clicks at one instant on each side: 64 million pairs at b - a = 0
     clicks = np.zeros(8000)
     with pytest.raises(ValueError, match=r"64000000 click pairs .* \[-113.0, 127.0\]"):
-        cell_pairs(clicks, clicks, W)
+        _cell(clicks, clicks)
 
 
 def test_pair_expansion_takes_no_step_per_pair_of_one_click():
     # one A click with a million B clicks in its gated range [-113, 127]:
     # an expansion that loops once per pair of the busiest click takes seconds
     b = np.linspace(-100.0, 100.0, 1_000_000)
+    window = np.flatnonzero((b >= -3.0) & (b <= 17.0))
+    # the A click shares its emission with one B click in its window
+    ids_b = np.arange(b.size)
     start = time.perf_counter()
-    pairs = cell_pairs([0.0], b, W)
+    pairs = cell_pairs([0.0], b, [window[7]], ids_b, W)
     elapsed = time.perf_counter() - start
     # every pair was expanded, with its difference b - 0.0
     assert pairs.spectrum_counts.sum() == 1_000_000
     np.testing.assert_array_equal(pairs.spectrum_counts,
                                   np.histogram(b - 0.0, bins=pairs.edges)[0])
-    np.testing.assert_array_equal(pairs.window_b, np.flatnonzero((b >= -3.0) & (b <= 17.0)))
+    np.testing.assert_array_equal(np.arange(pairs.j0[0], pairs.j1[0]), window)
+    assert classify_pairs_by_origin(pairs) == (1, window.size - 1)
     assert elapsed < 2.0
 
 
 def _traced(f, *args):
-    """f(*args) and the peak of the memory it allocated, under tracemalloc."""
+    """f(*args), the memory it still held on return, and its peak, under tracemalloc."""
     tracemalloc.start()
     try:
-        return f(*args), tracemalloc.get_traced_memory()[1]
+        return f(*args), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -355,8 +365,10 @@ def test_pair_pass_memory_does_not_grow_with_gated_pairs():
     # million gated pairs, none in the window or the offset window. The
     # clicks take 16 kB; expanding every pair at once peaked at 40 MB
     a = np.linspace(0.0, 1.0, 1000)
-    pairs, peak = _traced(cell_pairs, a, a + 50.0, W)
-    assert pairs.spectrum_counts.sum() == 1_000_000 and pairs.window_a.size == 0
+    ids = np.arange(a.size)
+    pairs, _, peak = _traced(cell_pairs, a, a + 50.0, ids, ids, W)
+    assert pairs.spectrum_counts.sum() == 1_000_000
+    assert (pairs.j1 == pairs.j0).all() and classify_pairs_by_origin(pairs) == (0, 0)
     assert peak < 4 << 20
 
 
@@ -365,8 +377,21 @@ def test_pair_pass_of_one_click_holds_no_pair_length_array():
     # of the million B clicks (b, the merged keys and their order), 22.9
     # MiB; expanding every pair at once peaked at 39.6 MiB
     b = np.linspace(-100.0, 100.0, 1_000_000)
-    _, peak = _traced(cell_pairs, [0.0], b, W)
+    ids_b = np.zeros(b.size, dtype=np.int64)
+    _, _, peak = _traced(cell_pairs, [0.0], b, [0], ids_b, W)
     assert peak < 3 * b.nbytes + (1 << 20)
+
+
+def test_pair_pass_keeps_no_window_pair():
+    # the million gated pairs of one click all lie in its window: keeping
+    # them, 16 bytes each, peaked at 31.0 MiB and held 22.9 MiB after the call
+    b = np.linspace(-100.0, 100.0, 1_000_000)
+    ids_b = np.arange(b.size)
+    w = WindowConfig(window_lo=-100.0, window_hi=100.0, accidental_offset=400.0)
+    pairs, held, peak = _traced(cell_pairs, [0.0], b, [ids_b[500_000]], ids_b, w, (-100.0, 100.0))
+    assert classify_pairs_by_origin(pairs) == (1, b.size - 1)
+    assert peak < 3 * b.nbytes + (1 << 20)
+    assert held < b.nbytes + (1 << 20)
 
 
 _BLOCK_WINDOWS = [
@@ -398,24 +423,14 @@ def test_pair_blocks_give_what_one_block_gives(a, b, lone, scale, windows):
     ids_a = np.arange(len(a)) % 3
     ids_b = np.arange(len(b)) % 4
     with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", 1 << 30):
-        whole = cell_pairs(a, b, w, spectrum_range)
+        whole = cell_pairs(a, b, ids_a, ids_b, w, spectrum_range)
     for size in (1, 3, 7):
         with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", size):
-            pairs = cell_pairs(a, b, w, spectrum_range)
-        for field in dataclasses.fields(CellPairs):
-            got, want = getattr(pairs, field.name), getattr(whole, field.name)
-            assert got.dtype == want.dtype, field.name
-            np.testing.assert_array_equal(got, want, err_msg=field.name)
-        assert count_coincidences(pairs) == count_coincidences(whole)
-        assert estimate_accidentals_delayed(pairs) == estimate_accidentals_delayed(whole)
-        np.testing.assert_array_equal(build_spectrum(pairs).counts, build_spectrum(whole).counts)
-        assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
-                == classify_pairs_by_origin(whole, ids_a, ids_b))
-        assert (harness._window_inclusion(pairs, ids_a, ids_b)
-                == harness._window_inclusion(whole, ids_a, ids_b))
+            pairs = cell_pairs(a, b, ids_a, ids_b, w, spectrum_range)
+        _assert_same_cell(pairs, whole, ids_a, ids_b)
 
 
-def _block_sizes(a, b, w, spectrum_range, size):
+def _block_sizes(a, b, ids_a, ids_b, w, spectrum_range, size):
     """cell_pairs(a, b, ...) with PAIR_BLOCK = size, and the pair count of each block it ran."""
     sizes = []
     walk = bellsim.coincidence._pair_blocks
@@ -427,19 +442,18 @@ def _block_sizes(a, b, w, spectrum_range, size):
 
     with mock.patch.object(bellsim.coincidence, "PAIR_BLOCK", size), \
             mock.patch.object(bellsim.coincidence, "_pair_blocks", counted):
-        return cell_pairs(a, b, w, spectrum_range), sizes
+        return cell_pairs(a, b, ids_a, ids_b, w, spectrum_range), sizes
 
 
 def _assert_same_cell(pairs, whole, ids_a, ids_b):
     for field in dataclasses.fields(CellPairs):
         got, want = getattr(pairs, field.name), getattr(whole, field.name)
-        assert got.dtype == want.dtype, field.name
+        assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
         np.testing.assert_array_equal(got, want, err_msg=field.name)
     assert count_coincidences(pairs) == count_coincidences(whole)
     assert estimate_accidentals_delayed(pairs) == estimate_accidentals_delayed(whole)
     np.testing.assert_array_equal(build_spectrum(pairs).counts, build_spectrum(whole).counts)
-    assert (classify_pairs_by_origin(pairs, ids_a, ids_b)
-            == classify_pairs_by_origin(whole, ids_a, ids_b))
+    assert classify_pairs_by_origin(pairs) == classify_pairs_by_origin(whole)
     assert (harness._window_inclusion(pairs, ids_a, ids_b)
             == harness._window_inclusion(whole, ids_a, ids_b))
 
@@ -468,8 +482,8 @@ def test_pair_blocks_cut_at_the_cell_ends_and_between(windows, blocks):
     total = gated()
     size = {1: total, 2: total // 2, 3: (total - 1) // 2}[blocks]
     ids_a, ids_b = np.arange(len(a)) % 3, np.arange(len(b)) % 4
-    whole, one = _block_sizes(a, b, w, spectrum_range, 1 << 30)
-    pairs, cut = _block_sizes(a, b, w, spectrum_range, size)
+    whole, one = _block_sizes(a, b, ids_a, ids_b, w, spectrum_range, 1 << 30)
+    pairs, cut = _block_sizes(a, b, ids_a, ids_b, w, spectrum_range, size)
     assert one == [total] and cut == [size] * (total // size) + [1] * (blocks == 3)
     _assert_same_cell(pairs, whole, ids_a, ids_b)
 
@@ -485,8 +499,8 @@ def test_pair_blocks_split_one_click_over_more_than_two_blocks(windows):
     edges = spectrum_bin_edges(w, spectrum_range)
     assert ((d >= edges[0]) & (d <= max(edges[-1], w.window_hi))).sum() > 2 * 5 + 1
     ids_a, ids_b = np.arange(len(a)) % 3, np.arange(len(b)) % 4
-    whole, one = _block_sizes(a, b, w, spectrum_range, 1 << 30)
-    pairs, cut = _block_sizes(a, b, w, spectrum_range, 5)
+    whole, one = _block_sizes(a, b, ids_a, ids_b, w, spectrum_range, 1 << 30)
+    pairs, cut = _block_sizes(a, b, ids_a, ids_b, w, spectrum_range, 5)
     assert len(cut) > 2 and sum(cut) == sum(one)
     _assert_same_cell(pairs, whole, ids_a, ids_b)
 
@@ -496,20 +510,21 @@ def test_pair_blocks_split_one_click_over_more_than_two_blocks(windows):
                          ids=["no-a-clicks", "no-pairs", "no-b-clicks"])
 def test_cell_without_pairs_runs_no_block_and_keeps_a_paired_cells_dtypes(windows, a, b):
     w, spectrum_range = windows
-    paired = cell_pairs([0.0, 5.0], [1.0, 30.0], w, spectrum_range)
-    assert paired.window_a.size
-    pairs, cut = _block_sizes(a, b, w, spectrum_range, 1 << 30)
+    paired = cell_pairs([0.0, 5.0], [1.0, 30.0], [0, 1], [0, 1], w, spectrum_range)
+    assert (paired.j1 - paired.j0).sum() and paired.same_emission
+    pairs, cut = _block_sizes(a, b, np.arange(len(a)), np.arange(len(b)), w, spectrum_range,
+                              1 << 30)
     assert cut == []
     for field in dataclasses.fields(CellPairs):
         got, want = getattr(pairs, field.name), getattr(paired, field.name)
-        assert got.dtype == want.dtype, field.name
+        assert np.asarray(got).dtype == np.asarray(want).dtype, field.name
     for field in ("j0", "j1", "k0", "k1"):
         assert getattr(pairs, field).size == len(a), field
-    assert pairs.window_a.size == pairs.window_b.size == 0
+    assert (pairs.j1 - pairs.j0).sum() == pairs.same_emission == 0
     assert pairs.spectrum_counts.size == paired.spectrum_counts.size
     assert not pairs.spectrum_counts.any()
     assert count_coincidences(pairs) == estimate_accidentals_delayed(pairs) == 0
-    assert classify_pairs_by_origin(pairs, np.arange(len(a)), np.arange(len(b))) == (0, 0)
+    assert classify_pairs_by_origin(pairs) == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,8 +538,35 @@ def test_count_translation_invariance(a, b, shift):
     assert _count(a + shift, b + shift) == _count(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(st.integers(min_value=0, max_value=150), max_size=30),
+       b=st.lists(st.integers(min_value=0, max_value=150), max_size=30),
+       scale=st.sampled_from([0.7, 1.0, 7.3]),
+       base=st.sampled_from([0.0, 68176891.7]),
+       lo=st.sampled_from([-24.1, -3.0, -2.7, 0.7]),
+       span=st.sampled_from([0.9, 20.0, 39.2]),
+       delay=st.sampled_from([0.0, 0.5, -13.3]))
+@example(a=[5, 5, 5], b=[5, 5, 6, 6], scale=1.0, base=0.0, lo=-3.0, span=20.0, delay=0.0)
+def test_swapping_sides_keeps_the_count_the_window_pairs_and_the_truth_split(a, b, scale, base,
+                                                                             lo, span, delay):
+    # the one-use count is a maximum matching, whose size does not depend on
+    # which side is A. IEEE subtraction is sign-symmetric, so a - b is
+    # exactly -(b - a) and the mirrored window gates the same pairs. Times on
+    # a grid, with ties, and ranges that overlap in chains
+    a = np.sort(np.asarray(a, dtype=float)) * scale + base
+    b = np.sort(np.asarray(b, dtype=float)) * scale + base
+    ids_a, ids_b = np.arange(a.size) % 3, np.arange(b.size) % 4
+    w = WindowConfig(channel_delay=delay, window_lo=lo, window_hi=lo + span)
+    mirrored = WindowConfig(window_lo=-w.window_hi, window_hi=-w.window_lo)
+    pairs = cell_pairs(a, b, ids_a, ids_b, w)
+    swapped = cell_pairs(b + delay, a, ids_b, ids_a, mirrored)
+    assert count_coincidences(swapped) == count_coincidences(pairs)
+    assert _all_pairs(swapped) == _all_pairs(pairs)
+    assert classify_pairs_by_origin(swapped) == classify_pairs_by_origin(pairs)
+
+
 def test_empty_streams_give_zero_spectrum():
-    spectrum = build_spectrum(cell_pairs([], [], W, (-53.0, 67.0)))
+    spectrum = build_spectrum(_cell([], [], W, (-53.0, 67.0)))
     assert spectrum.counts.sum() == 0
     assert spectrum.total_pairs_considered == 0
     assert spectrum.bin_edges[0] == -53.0
@@ -550,7 +592,7 @@ def test_spectra_add_only_on_the_same_edges():
 
 def _spectrum_of(deltas, w: WindowConfig, spectrum_range):
     """build_spectrum over the given differences: one A click at 0 and a B click at each."""
-    return build_spectrum(cell_pairs([0.0], np.sort(deltas), w, spectrum_range))
+    return build_spectrum(_cell([0.0], np.sort(deltas), w, spectrum_range))
 
 
 def test_spectrum_counts_like_np_histogram_past_its_block_size():
@@ -583,7 +625,7 @@ def test_spectrum_recovers_exponential_tail():
     rng = np.random.default_rng(23)
     a = _poisson_clicks(rng, 5.0e4, 1.0)
     b = np.sort(a + rng.exponential(5.0, a.size))
-    spectrum = build_spectrum(cell_pairs(a, b, W, (-10.0, 40.0)))
+    spectrum = build_spectrum(_cell(a, b, W, (-10.0, 40.0)))
     centers = spectrum.bin_edges[:-1] + 0.5 * W.bin_width
     sel = (centers >= 2.0) & (centers <= 18.0) & (spectrum.counts > 20)
     slope = np.polyfit(centers[sel], np.log(spectrum.counts[sel]), 1)[0]
@@ -597,7 +639,7 @@ def test_spectrum_flat_for_independent_streams():
     a = _poisson_clicks(rng, 1.0e6, 0.05)
     b = _poisson_clicks(rng, 1.0e6, 0.05)
     w = dataclasses.replace(W, bin_width=4.0)
-    spectrum = build_spectrum(cell_pairs(a, b, w, (-100.0, 100.0)))
+    spectrum = build_spectrum(_cell(a, b, w, (-100.0, 100.0)))
     counts = spectrum.counts
     assert counts.mean() > 100.0  # enough statistics for the chi-square to mean something
     chi2 = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
@@ -608,7 +650,7 @@ def test_spectrum_window_integral_equals_all_pairs_count():
     rng = np.random.default_rng(31)
     a = _poisson_clicks(rng, 2.0e4, 0.05)
     b = np.sort(a + rng.exponential(5.0, a.size))
-    pairs = cell_pairs(a, b, W, (-53.0, 67.0))
+    pairs = _cell(a, b, W, (-53.0, 67.0))
     deltas = np.subtract.outer(b, a)
     all_pairs = int(np.count_nonzero((deltas >= W.window_lo) & (deltas <= W.window_hi)))
     assert all_pairs > 0
@@ -621,7 +663,7 @@ def test_spectrum_counts_every_pairing_not_one_use():
     # the one-use counter sees one
     a = [0.0]
     b = [4.0, 6.0]
-    pairs = cell_pairs(a, b, W, (-53.0, 67.0))
+    pairs = _cell(a, b, W, (-53.0, 67.0))
     assert count_coincidences(pairs) == 1
     assert _all_pairs(pairs) == 2
     assert _window_integral(build_spectrum(pairs), W.window_lo, W.window_hi) == 2
@@ -629,11 +671,11 @@ def test_spectrum_counts_every_pairing_not_one_use():
 
 def test_spectrum_range_validation():
     with pytest.raises(ValueError):
-        cell_pairs([0.0], [1.0], W, (0.0, 20.0))  # does not contain window
+        _cell([0.0], [1.0], W, (0.0, 20.0))  # does not contain window
     with pytest.raises(ValueError):
-        cell_pairs([0.0], [1.0], W, (-3.0, 17.5))  # not a whole number of bins
+        _cell([0.0], [1.0], W, (-3.0, 17.5))  # not a whole number of bins
     with pytest.raises(ValueError):
-        cell_pairs([0.0], [1.0], W, (30.0, 20.0))
+        _cell([0.0], [1.0], W, (30.0, 20.0))
 
 
 def test_window_config_validation():
@@ -651,14 +693,14 @@ def test_window_config_validation():
 
 
 def test_delayed_estimate_zero_for_single_true_pair():
-    assert estimate_accidentals_delayed(cell_pairs([100.0], [105.0], W)) == 0
+    assert estimate_accidentals_delayed(_cell([100.0], [105.0])) == 0
 
 
 def test_delayed_estimate_matches_in_window_rate_for_independent_streams():
     rng = np.random.default_rng(37)
     a = _poisson_clicks(rng, 1.0e5, 1.0)
     b = _poisson_clicks(rng, 1.0e5, 1.0)
-    pairs = cell_pairs(a, b, W)
+    pairs = _cell(a, b)
     in_window = count_coincidences(pairs)
     delayed = estimate_accidentals_delayed(pairs)
     product = estimate_accidentals_product(a.size, b.size, W, 1.0)
@@ -683,9 +725,9 @@ def test_delayed_estimate_overstates_background_for_hard_core_source():
         rng = np.random.default_rng(1000 + seed)
         a = simulate_side(stream, "A", ABSENT, det, rng)
         b = simulate_side(stream, "B", ABSENT, det, rng)
-        pairs = cell_pairs(a.times, b.times, W)
+        pairs = cell_pairs(a.times, b.times, a.emission_index, b.emission_index, W)
         delayed = estimate_accidentals_delayed(pairs)
-        _, background = classify_pairs_by_origin(pairs, a.emission_index, b.emission_index)
+        _, background = classify_pairs_by_origin(pairs)
         wins += delayed > background
         delayed_total += delayed
         background_total += background
@@ -713,13 +755,14 @@ def test_classify_pairs_by_origin_tiny_case():
     # pair) and 1010 (emission 2, accidental within the window of A@1000)
     a_times, a_ids = [0.0, 1000.0], [0, 1]
     b_times, b_ids = [5.0, 1010.0], [0, 2]
-    true_pairs, accidental = classify_pairs_by_origin(cell_pairs(a_times, b_times, W),
-                                                      a_ids, b_ids)
+    true_pairs, accidental = classify_pairs_by_origin(cell_pairs(a_times, b_times, a_ids, b_ids,
+                                                                 W))
     assert (true_pairs, accidental) == (1, 1)
 
 
 def test_classify_requires_matching_lengths():
-    with pytest.raises(ValueError):
-        classify_pairs_by_origin(cell_pairs([0.0], [5.0], W), [0, 1], [0])
-    with pytest.raises(ValueError):
-        classify_pairs_by_origin(cell_pairs([0.0], [5.0], W), [0], [0, 1])
+    # the ids come with the clicks, so cell_pairs refuses them, not the split
+    with pytest.raises(ValueError, match="emission id arrays"):
+        cell_pairs([0.0], [5.0], [0, 1], [0], W)
+    with pytest.raises(ValueError, match="emission id arrays"):
+        cell_pairs([0.0], [5.0], [0], [0, 1], W)

@@ -140,7 +140,8 @@ def _reference_window_inclusion(clicks_a, clicks_b, w):
 
 def _inclusion(clicks_a, clicks_b, w):
     """_window_inclusion on the cell pass of two click streams."""
-    pairs = cell_pairs(clicks_a.times, clicks_b.times, w)
+    pairs = cell_pairs(clicks_a.times, clicks_b.times, clicks_a.emission_index,
+                       clicks_b.emission_index, w)
     return _window_inclusion(pairs, clicks_a.emission_index, clicks_b.emission_index)
 
 
@@ -221,12 +222,12 @@ def test_repeats_sum_per_repeat_runs():
             stream = generate_emissions(SMALL.emission, rng_em)
             clicks_a = simulate_side(stream, "A", set_a, SMALL.detector_a, rng_a)
             clicks_b = simulate_side(stream, "B", set_b, SMALL.detector_b, rng_b)
-            pairs = cell_pairs(clicks_a.times, clicks_b.times, SMALL.window)
+            pairs = cell_pairs(clicks_a.times, clicks_b.times, clicks_a.emission_index,
+                               clicks_b.emission_index, SMALL.window)
             singles_a += clicks_a.size
             raw += count_coincidences(pairs)
             delayed += estimate_accidentals_delayed(pairs)
-            true_pairs += classify_pairs_by_origin(pairs, clicks_a.emission_index,
-                                                   clicks_b.emission_index)[0]
+            true_pairs += classify_pairs_by_origin(pairs)[0]
             spectrum = spectrum + build_spectrum(pairs).counts
             got, tot = _reference_window_inclusion(clicks_a, clicks_b, SMALL.window)
             inside += got
