@@ -100,7 +100,7 @@ from bellsim.detection import (
 )
 from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
 from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
-                                float_literal, parse_json, require_numbers)
+                                float_literal, parse_json, read_input, require_numbers)
 
 # report variant -> (ConfigurationResult count field, accidental field or None, BellReport label)
 VARIANTS = {
@@ -706,40 +706,34 @@ def parse_counts_file(path) -> RunCounts:
     other cell must be a JSON number. Errors carry the file name plus the
     line or field at fault.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
     name = str(path)
-    stripped = text.lstrip()
-    is_json = name.endswith(".json") or (not name.endswith(".csv") and stripped.startswith("{"))
-    if is_json:
-        parsed = parse_json(name, text)
-    else:
+
+    def counts(text: str) -> RunCounts:
+        if name.endswith(".json") or (not name.endswith(".csv") and text.lstrip().startswith("{")):
+            return RunCounts.from_dict(parse_json(text))
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None:
-            raise ValueError(f"{name}: empty file")
+            raise ValueError("empty file")
         twice = [f for f, k in Counter(reader.fieldnames).items() if k > 1]
         if twice:
-            raise ValueError(f"{name}: line 1: field {twice[0]!r} given twice")
+            raise ValueError(f"line 1: field {twice[0]!r} given twice")
         rows = list(reader)
         if len(rows) != 1:
-            raise ValueError(f"{name}: expected exactly one data row, found {len(rows)}")
+            raise ValueError(f"expected exactly one data row, found {len(rows)}")
         parsed = {}
         for field, cell in rows[0].items():
             if field is None or (cell is not None and field == ""):
-                raise ValueError(f"{name}: line 2 has more cells than the header")
+                raise ValueError("line 2 has more cells than the header")
             if cell is None or cell.strip() == "":
                 continue
             # a JSON number in ASCII digits: float() alone also takes 1_000,
             # +5, .5, 5., 0012 and other scripts' digits
             if not re.fullmatch(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?",
                                 cell.strip()):
-                raise ValueError(
-                    f"{name}: line 2, field {field!r}: could not parse {cell!r} as a number")
-            parsed[field] = float_literal(cell.strip(), f"{name}: line 2, field {field!r}:")
-    try:
+                raise ValueError(f"line 2, field {field!r}: could not parse {cell!r} as a number")
+            parsed[field] = float_literal(cell.strip(), f"line 2, field {field!r}:")
         return RunCounts.from_dict(parsed)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    return read_input(path, counts)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
 from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
 from bellsim.source import EmissionConfig
-from bellsim.validation import check_choice, check_keys, parse_json
+from bellsim.validation import check_choice, check_keys, parse_json, read_input
 
 
 def aspect_like() -> ScenarioConfig:
@@ -77,11 +77,6 @@ def bundled_counts_path() -> Path:
     return Path(str(resources.files("bellsim").joinpath("data/aspect_thesis_counts.json")))
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_json(str(path), fh.read())
-
-
 def scenario_from_file_dict(data: dict) -> ScenarioConfig:
     """Resolve an optional "preset" key, then apply the remaining overrides."""
     if not isinstance(data, dict) or "preset" not in data:
@@ -93,23 +88,19 @@ def scenario_from_file_dict(data: dict) -> ScenarioConfig:
 
 
 def load_scenario_file(path) -> ScenarioConfig:
-    data = _load_json(path)
-    try:
-        return scenario_from_file_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_input(path, lambda text: scenario_from_file_dict(parse_json(text)))
 
 
 def load_sweep_file(path) -> SweepSpec:
     """Sweep files hold {"parameter", "values", "scenario"}; the scenario
     section accepts the same keys (including "preset") as a scenario file."""
-    data = _load_json(path)
-    try:
+
+    def sweep(text: str) -> SweepSpec:
+        data = parse_json(text)
         check_keys("sweep", data, ("parameter", "values", "scenario"), ("parameter", "values"))
         values = data["values"]
         if not isinstance(values, list):
             raise ValueError("'values' must be a list of numbers")
         return SweepSpec(parameter=data["parameter"], values=tuple(values),
                          fixed=scenario_from_file_dict(data.get("scenario", {})))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_input(path, sweep)

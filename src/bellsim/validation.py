@@ -7,6 +7,8 @@ float (a 400-digit JSON integer is not). Bounds ge, gt and le compare
 the value itself. A choice is one of a set of strings, and a flag is a
 bool, not 1 or "yes". Rules that tie two fields together, such as
 window_lo < window_hi, stay in their dataclass, after its field checks.
+read_input is the one way an input file is read, so every refusal names
+its file.
 """
 
 from __future__ import annotations
@@ -101,21 +103,33 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def float_literal(literal: str, where: str = "number") -> float:
-    """A JSON number literal as a float; one that overflows is refused as written, after where."""
+    """A JSON number literal as a float; one a float cannot hold is refused as written."""
     if math.isinf(value := float(literal)):
         raise ValueError(f"{where} {literal} is too large for a float")
+    if value == 0 and literal.lower().partition("e")[0].strip("-.0"):  # a nonzero digit
+        raise ValueError(f"{where} {literal} is too small for a float")
     return value
 
 
-def parse_json(name: str, text: str):
-    """json.loads on the text of the file name, refusing bad JSON with a ValueError naming it.
+def parse_json(text: str):
+    """json.loads on a file's text, refusing bad JSON with a ValueError at its line and column.
 
     A key given twice in one object is refused, not read last-wins, and so
-    is a number with a fraction or an exponent that overflows a float.
+    is a number with a fraction or an exponent that a float cannot hold.
     """
     try:
         return json.loads(text, object_pairs_hook=_unique_keys, parse_float=float_literal)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # a key given twice, a float overflow, or an overlong integer
-        raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def read_input(path, parse):
+    """parse(text) on the file at path, read as UTF-8 after an optional byte order mark.
+
+    A ValueError from decoding or parsing names the file; an OSError passes through.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

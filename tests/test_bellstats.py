@@ -109,6 +109,24 @@ def test_zero_denominators_reported_as_undefined():
     assert all(s.value is None for s in report.statistics())
 
 
+@pytest.mark.parametrize("counts, name", [
+    (RunCounts(x=35.0, y=10.0, z=47.5, Z=100.0), "s_freedman"),
+    (RunCounts(x=35.0, y=10.0, z=47.5, Z=100.0), "s_chsh"),
+    (RunCounts(x=30.0, y=10.0, z=20.0, Z=40.0), "s_std"),
+])
+def test_statistic_exactly_at_its_limit_is_not_violated(counts, name):
+    statistic = getattr(compute_bell_statistics(counts), name)
+    assert statistic.value == LIMITS[name]
+    assert statistic.violated is False
+
+
+def test_no_data_only_when_all_four_counts_are_zero():
+    for zero in ("x", "y", "z", "Z"):
+        counts = RunCounts(**{k: 0.0 if k == zero else 1.0 for k in ("x", "y", "z", "Z")})
+        assert not compute_bell_statistics(counts).no_data
+    assert compute_bell_statistics(RunCounts(x=0.0, y=0.0, z=0.0, Z=0.0)).no_data
+
+
 def test_negative_corrected_counts_preserved_and_flagged():
     counts = RunCounts(x=5.0, y=8.0, z=10.0, Z=40.0,
                        acc_x=7.0, acc_y=2.0, acc_z=3.0, acc_Z=4.0)

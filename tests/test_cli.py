@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import math
 import os
 import platform
 import subprocess
@@ -326,6 +327,56 @@ def test_float_literal_too_large_for_a_float_is_refused_as_written(tmp_path, cap
                      "message": f"{path}: {literal} is too large for a float"}
 
 
+@pytest.mark.parametrize("command, name, text, literal", [
+    ("simulate", "scenario.json", '{"emission": {"duration": 0.01},'
+                                  ' "detector_a": {"jitter_sigma": 1e-400}}', "number 1e-400"),
+    ("sweep", "sweep.json", '{"parameter": "mean_rate", "values": [1e4, 2.5E-400],'
+                            ' "scenario": {"emission": {"duration": 0.01}}}', "number 2.5E-400"),
+    ("stats", "counts.json", '{"x": 1e-400, "y": 3, "z": 6, "Z": 16}', "number 1e-400"),
+    ("stats", "counts.csv", "x,y,z,Z\n1e-400,3,6,16\n", "line 2, field 'x': 1e-400"),
+], ids=["scenario", "sweep", "counts-json", "counts-csv"])
+def test_float_literal_too_small_for_a_float_is_refused_as_written(tmp_path, capsys, command,
+                                                                    name, text, literal):
+    # json and float() read these as 0.0, which jitter_sigma and a count accept
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError",
+                     "message": f"{path}: {literal} is too small for a float"}
+
+
+@pytest.mark.parametrize("name, literals", [
+    ("counts.json", '{"x": 0e-400, "y": -0.0, "z": 5e-324, "Z": 16}'),
+    ("counts.csv", "x,y,z,Z\n0e-400,-0.0,5e-324,16\n"),
+], ids=["json", "csv"])
+def test_zeros_and_subnormals_read_as_written(tmp_path, capsys, name, literals):
+    path = tmp_path / name
+    path.write_text(literals)
+    assert main(["stats", str(path)]) == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert [counts[k] for k in "xyz"] == [0.0, 0.0, 5e-324]
+    assert math.copysign(1.0, counts["y"]) == -1.0
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "scenario.json"), ("sweep", "sweep.json"), ("stats", "counts.csv"),
+], ids=["scenario", "sweep", "counts"])
+def test_file_that_is_not_utf8_is_refused_with_its_name(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff{}")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValueError",
+        "message": f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte"}
+
+
 @pytest.mark.parametrize("command, name, text", [
     ("stats", "counts.csv", "x,y,z,Z\n1,2,3,4\n"),
     ("stats", "counts.json", '{"x": 1, "y": 3, "z": 6, "Z": 16}'),
@@ -456,12 +507,17 @@ def test_key_given_twice_is_json_error(tmp_path, capsys, command, name, text, ke
 
 
 # run in a fresh process: the pytest process's heap history (earlier tests
-# freeing large arrays raise glibc's dynamic thresholds) would hide the faults
+# freeing large arrays raise glibc's dynamic thresholds) would hide the faults.
+# Both runs take one lane, so the count measures the policy alone. On a
+# 2-core machine a second run read 13 to 81 faults on one lane, and on two
+# lanes 14 to 29 in 14 of 24 runs but 62 to 469 in the other 10
 _SECOND_RUN_FAULTS = """
 import resource, sys
 import bellsim
 cli_imported = "bellsim.cli" in sys.modules
+from bellsim import harness
 from bellsim.cli import main
+harness._usable_cpus = lambda: 1
 argv = ["simulate", sys.argv[1], "--out", sys.argv[2]]
 assert main(argv) == 0
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -16,6 +16,7 @@ from scipy import stats
 import bellsim.coincidence
 from bellsim import harness
 from bellsim.coincidence import (
+    MAX_SPECTRUM_BINS,
     CellPairs,
     CoincidenceSpectrum,
     WindowConfig,
@@ -325,11 +326,16 @@ def test_pair_consumers_reject_non_finite_times(a, b):
         _cell(a, b)
 
 
-def test_pair_expansion_is_capped_before_allocating():
+def test_pair_expansion_is_capped_before_allocating(monkeypatch):
     # 8,000 clicks at one instant on each side: 64 million pairs at b - a = 0
     clicks = np.zeros(8000)
     with pytest.raises(ValueError, match=r"64000000 click pairs .* \[-113.0, 127.0\]"):
         _cell(clicks, clicks)
+    # a cell of exactly the cap's pairs runs; one pair more is refused
+    monkeypatch.setattr(bellsim.coincidence, "MAX_PAIRS_PER_CELL", 64)
+    assert count_coincidences(_cell(clicks[:8], clicks[:8])) == 8
+    with pytest.raises(ValueError, match="72 click pairs"):
+        _cell(clicks[:8], clicks[:9])
 
 
 def test_pair_expansion_takes_no_step_per_pair_of_one_click():
@@ -565,6 +571,81 @@ def test_swapping_sides_keeps_the_count_the_window_pairs_and_the_truth_split(a, 
     assert classify_pairs_by_origin(swapped) == classify_pairs_by_origin(pairs)
 
 
+grid_times = st.lists(st.integers(min_value=0, max_value=150), max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a1=grid_times, b1=grid_times, a2=grid_times, b2=grid_times,
+       scale=st.sampled_from([0.7, 1.0, 7.3]),
+       base=st.sampled_from([0.0, 68176891.7]),
+       lo=st.integers(min_value=-30, max_value=5), span=st.integers(min_value=1, max_value=40),
+       delay=st.sampled_from([0.0, 0.5, -13.3]),
+       extra=st.integers(min_value=0, max_value=60),
+       margins=st.tuples(st.integers(min_value=0, max_value=80),
+                         st.integers(min_value=0, max_value=80)))
+@example(a1=[5, 5, 5], b1=[5, 5, 6, 6], a2=[0, 1], b2=[1, 1, 2], scale=1.0, base=0.0,
+         lo=-3, span=20, delay=0.0, extra=0, margins=(0, 0))
+def test_a_cell_split_at_a_wide_gap_adds_up_to_the_whole(a1, b1, a2, b2, scale, base, lo, span,
+                                                         delay, extra, margins):
+    # the second half starts 10,000 grid steps on, so every A-B difference
+    # across the gap lies far outside the window, the offset window and the
+    # spectrum range: the matchings, the pairings and the bins of the two
+    # halves are those of the whole. Grid times give ties and chains
+    w = WindowConfig(channel_delay=delay, window_lo=float(lo), window_hi=float(lo + span),
+                     accidental_offset=float(2 * span + extra))
+    spectrum_range = (float(lo - margins[0]), float(lo + span + margins[1]))
+
+    def cell(a_first, a_second, b_first, b_second):
+        def clicks(first, second):
+            times = np.concatenate([np.sort(np.asarray(first, dtype=float)),
+                                    np.sort(np.asarray(second, dtype=float)) + 10_000.0])
+            return times * scale + base
+
+        def ids(first, second, k):
+            return np.concatenate([np.arange(len(first)) % k, 7 + np.arange(len(second)) % k])
+
+        return cell_pairs(clicks(a_first, a_second), clicks(b_first, b_second),
+                          ids(a_first, a_second, 3), ids(b_first, b_second, 4), w,
+                          spectrum_range)
+
+    halves = [cell(a1, [], b1, []), cell([], a2, [], b2)]
+    whole = cell(a1, a2, b1, b2)
+    for consumer in (count_coincidences, estimate_accidentals_delayed):
+        assert sum(consumer(half) for half in halves) == consumer(whole)
+    split = [classify_pairs_by_origin(half) for half in halves]
+    assert tuple(map(sum, zip(*split))) == classify_pairs_by_origin(whole)
+    spectrum = build_spectrum(halves[0]) + build_spectrum(halves[1])
+    np.testing.assert_array_equal(spectrum.bin_edges, build_spectrum(whole).bin_edges)
+    np.testing.assert_array_equal(spectrum.counts, build_spectrum(whole).counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(st.integers(min_value=0, max_value=150), max_size=30),
+       b=st.lists(st.integers(min_value=0, max_value=150), max_size=30),
+       scale=st.sampled_from([0.7, 1.0, 7.3]),
+       base=st.sampled_from([0.0, 68176891.7]),
+       lo=st.integers(min_value=-30, max_value=5), span=st.integers(min_value=1, max_value=30),
+       widen=st.tuples(st.integers(min_value=0, max_value=15),
+                       st.integers(min_value=0, max_value=15)),
+       delay=st.sampled_from([0.0, 0.5, -13.3]))
+@example(a=[0, 3, 3], b=[2, 4, 4, 9], scale=1.0, base=0.0, lo=0, span=2, widen=(0, 3), delay=0.0)
+def test_a_wider_window_never_lowers_the_count_or_the_window_pairs(a, b, scale, base, lo, span,
+                                                                   widen, delay):
+    # a maximum matching over more allowed pairs is no smaller. The offset
+    # stays at twice the wider span, so both windows keep the same offset
+    a = np.sort(np.asarray(a, dtype=float)) * scale + base
+    b = np.sort(np.asarray(b, dtype=float)) * scale + base
+    ids_a, ids_b = np.arange(a.size) % 3, np.arange(b.size) % 4
+    offset = 2.0 * (span + sum(widen))
+    narrow = WindowConfig(channel_delay=delay, window_lo=float(lo), window_hi=float(lo + span),
+                          accidental_offset=offset)
+    wide = WindowConfig(channel_delay=delay, window_lo=float(lo - widen[0]),
+                        window_hi=float(lo + span + widen[1]), accidental_offset=offset)
+    pairs, wider = cell_pairs(a, b, ids_a, ids_b, narrow), cell_pairs(a, b, ids_a, ids_b, wide)
+    assert count_coincidences(wider) >= count_coincidences(pairs)
+    assert _all_pairs(wider) >= _all_pairs(pairs)
+
+
 def test_empty_streams_give_zero_spectrum():
     spectrum = build_spectrum(_cell([], [], W, (-53.0, 67.0)))
     assert spectrum.counts.sum() == 0
@@ -676,6 +757,21 @@ def test_spectrum_range_validation():
         _cell([0.0], [1.0], W, (-3.0, 17.5))  # not a whole number of bins
     with pytest.raises(ValueError):
         _cell([0.0], [1.0], W, (30.0, 20.0))
+    with pytest.raises(ValueError, match=r"lo < hi, got \[5.0, 5.0\]"):
+        spectrum_bin_edges(W, (5.0, 5.0))  # empty, not merely short of the window
+
+
+def test_spectrum_range_of_exactly_the_bin_cap_is_accepted():
+    half = MAX_SPECTRUM_BINS // 2
+    edges = spectrum_bin_edges(W, (-half, half))
+    assert edges.size == MAX_SPECTRUM_BINS + 1
+    with pytest.raises(ValueError, match="over"):
+        spectrum_bin_edges(W, (-half, half + 1))
+
+
+def test_spectrum_range_of_one_bin_is_accepted():
+    w = WindowConfig(bin_width=20.0)
+    assert spectrum_bin_edges(w, (-3.0, 17.0)).tolist() == [-3.0, 17.0]
 
 
 def test_window_config_validation():

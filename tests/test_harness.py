@@ -177,6 +177,21 @@ def test_window_inclusion_uses_each_emissions_first_clicks():
     assert _inclusion(empty, empty, s.window) == (0, 0)
 
 
+def test_multi_click_side_expecting_exactly_the_cap_is_accepted():
+    base = wave_like()
+    # 1e7 emissions per cell, and 2 hazard units on each: 2e7 clicks expected
+    detector_b = dataclasses.replace(base.detector_b, allow_multiple_detections=True,
+                                     wave_gain=4.0, wave_decay_tau=0.5)
+
+    def scenario(duration):
+        emission = dataclasses.replace(base.emission, mean_rate=1.0e7, duration=duration)
+        return dataclasses.replace(base, emission=emission, detector_b=detector_b)
+
+    assert scenario(1.0).expected_cell_size == harness.MAX_EMISSIONS_PER_CELL
+    with pytest.raises(ValueError, match="over the cap"):
+        scenario(1.000001)
+
+
 def _click_stream(clicks):
     # sorted by time only: equal times keep their drawn order
     clicks = sorted(clicks, key=lambda c: c[0])

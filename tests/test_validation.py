@@ -32,7 +32,7 @@ from bellsim.detection import (
 from bellsim.harness import SWEEP_PARAMETERS, ScenarioConfig, SweepSpec, parse_counts_file
 from bellsim.presets import PRESETS, load_scenario_file, load_sweep_file
 from bellsim.source import HIDDEN_VARIABLE_MODES, PROCESSES, EmissionConfig
-from bellsim.validation import _shown, check_number
+from bellsim.validation import _shown, check_bool, check_number
 
 # (class, field name as the message shows it, a builder that puts a value there)
 NUMERIC_FIELDS = [
@@ -90,6 +90,16 @@ def test_cross_field_rules_refuse_sums_and_products_that_overflow():
 def test_statistics_of_counts_near_the_float_limit_do_not_raise():
     report = compute_bell_statistics(RunCounts(x=10**308, y=-(10**308), z=0, Z=1))
     assert report.s_freedman.value == math.inf
+
+
+def test_integer_shown_in_full_up_to_1024_bits():
+    # 2**1023 fits in a float; 2**1024, of 1,025 bits, does not
+    with pytest.raises(ValueError) as refused:
+        check_bool("flag", 2 ** 1023)
+    assert str(refused.value) == f"flag must be a boolean, got {2 ** 1023!r}"
+    with pytest.raises(ValueError) as refused:
+        check_bool("flag", 2 ** 1024)
+    assert str(refused.value) == "flag must be a boolean, got an integer of 1025 bits"
 
 
 def test_choices_and_flags_refuse_other_types():
