@@ -25,9 +25,8 @@ _EXPORTS = {
                   "simulate_side"),
     "harness": ("CONFIG_KEYS", "ScenarioConfig", "ScenarioReport", "SweepSpec",
                 "coincidence_curve", "parse_counts_file", "reanalyze_counts",
-                "run_configuration", "run_scenario", "run_sweep", "scenario_from_dict",
-                "sweep_csv_text"),
-    "presets": ("PRESETS", "bundled_counts_path", "load_scenario_file"),
+                "run_configuration", "run_scenario", "run_sweep", "sweep_csv_text"),
+    "presets": ("PRESETS", "bundled_counts_path", "load_scenario_file", "scenario_from_dict"),
     "source": ("EmissionConfig", "EmissionStream", "generate_emissions"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -99,8 +99,8 @@ from bellsim.detection import (
     simulate_side,
 )
 from bellsim.source import MAX_EMISSIONS_PER_CELL, EmissionConfig, generate_emissions
-from bellsim.validation import (check_choice, check_keys, check_number, check_pair,
-                                float_literal, parse_json, read_input, require_numbers)
+from bellsim.validation import (check_choice, check_number, check_pair, float_literal,
+                                parse_json, read_input, require_numbers)
 
 # report variant -> (ConfigurationResult count field, accidental field or None, BellReport label)
 VARIANTS = {
@@ -683,21 +683,6 @@ def run_sweep(spec: SweepSpec) -> list[ScenarioReport]:
     return [by_index[i] for i in range(len(spec.scenarios))]
 
 
-def scenario_from_dict(data: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Build a scenario from a JSON-shaped dict of overrides on a base."""
-    check_keys("scenario", data, (f.name for f in dataclasses.fields(ScenarioConfig)))
-    base = base if base is not None else ScenarioConfig()
-    fields = dict(data)
-    for name in ("emission", "detector_a", "detector_b", "window"):
-        section, overrides = getattr(base, name), data.get(name, {})
-        check_keys(name, overrides, (f.name for f in dataclasses.fields(section)))
-        try:
-            fields[name] = dataclasses.replace(section, **overrides)
-        except ValueError as exc:
-            raise ValueError(f"invalid {name} config: {exc}") from None
-    return dataclasses.replace(base, **fields)
-
-
 def parse_counts_file(path) -> RunCounts:
     """Read a RunCounts table from a JSON or CSV file.
 
@@ -709,15 +694,18 @@ def parse_counts_file(path) -> RunCounts:
     name = str(path)
 
     def counts(text: str) -> RunCounts:
-        if name.endswith(".json") or (not name.endswith(".csv") and text.lstrip().startswith("{")):
+        if name.endswith(".json") or (not name.endswith(".csv") and text.lstrip().startswith(("{", "["))):
             return RunCounts.from_dict(parse_json(text))
         reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise ValueError("empty file")
-        twice = [f for f, k in Counter(reader.fieldnames).items() if k > 1]
-        if twice:
-            raise ValueError(f"line 1: field {twice[0]!r} given twice")
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise ValueError("empty file")
+            twice = [f for f, k in Counter(reader.fieldnames).items() if k > 1]
+            if twice:
+                raise ValueError(f"line 1: field {twice[0]!r} given twice")
+            rows = list(reader)
+        except csv.Error as exc:  # line_num counts the lines before the record at fault
+            raise ValueError(f"line {reader.line_num + 1}: {exc}") from None
         if len(rows) != 1:
             raise ValueError(f"expected exactly one data row, found {len(rows)}")
         parsed = {}

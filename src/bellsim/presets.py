@@ -17,8 +17,9 @@ wave-like       both signals modeled as decaying wave envelopes with a
                 faster than the B one (0.5 ns vs 5 ns) and the gains put
                 the per-side click budget at 3 hazard units.
 
-Every preset is a plain ScenarioConfig; scenario files may name one in a
-"preset" key and override any field on top of it.
+Every preset is a plain ScenarioConfig. scenario_from_dict is the one parser
+of a scenario document, which may name a preset in a "preset" key and
+override any field on top of it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from bellsim.coincidence import WindowConfig
 from bellsim.detection import DetectorConfig
-from bellsim.harness import ScenarioConfig, SweepSpec, scenario_from_dict
+from bellsim.harness import ScenarioConfig, SweepSpec
 from bellsim.source import EmissionConfig
 from bellsim.validation import check_choice, check_keys, parse_json, read_input
 
@@ -77,18 +78,28 @@ def bundled_counts_path() -> Path:
     return Path(str(resources.files("bellsim").joinpath("data/aspect_thesis_counts.json")))
 
 
-def scenario_from_file_dict(data: dict) -> ScenarioConfig:
-    """Resolve an optional "preset" key, then apply the remaining overrides."""
-    if not isinstance(data, dict) or "preset" not in data:
-        return scenario_from_dict(data)
-    data = dict(data)
-    preset = data.pop("preset")
-    check_choice("preset", preset, PRESETS)
-    return scenario_from_dict(data, base=PRESETS[preset]())
+def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """A scenario document's "preset" (ScenarioConfig() if none) with its other keys applied."""
+    base = ScenarioConfig()
+    if isinstance(data, dict) and "preset" in data:
+        data = dict(data)
+        preset = data.pop("preset")
+        check_choice("preset", preset, PRESETS)
+        base = PRESETS[preset]()
+    check_keys("scenario", data, (f.name for f in dataclasses.fields(ScenarioConfig)))
+    fields = dict(data)
+    for name in ("emission", "detector_a", "detector_b", "window"):
+        section, overrides = getattr(base, name), data.get(name, {})
+        check_keys(name, overrides, (f.name for f in dataclasses.fields(section)))
+        try:
+            fields[name] = dataclasses.replace(section, **overrides)
+        except ValueError as exc:
+            raise ValueError(f"invalid {name} config: {exc}") from None
+    return dataclasses.replace(base, **fields)
 
 
 def load_scenario_file(path) -> ScenarioConfig:
-    return read_input(path, lambda text: scenario_from_file_dict(parse_json(text)))
+    return read_input(path, lambda text: scenario_from_dict(parse_json(text)))
 
 
 def load_sweep_file(path) -> SweepSpec:
@@ -102,5 +113,5 @@ def load_sweep_file(path) -> SweepSpec:
         if not isinstance(values, list):
             raise ValueError("'values' must be a list of numbers")
         return SweepSpec(parameter=data["parameter"], values=tuple(values),
-                         fixed=scenario_from_file_dict(data.get("scenario", {})))
+                         fixed=scenario_from_dict(data.get("scenario", {})))
     return read_input(path, sweep)

@@ -99,7 +99,7 @@ def _renewal_arrivals(rng: np.random.Generator, duration_ns: float,
     """Arrival times on (0, duration_ns) with gaps hard_gap + Exp(exp_scale)."""
     mean_gap = hard_gap + exp_scale
     expected = duration_ns / mean_gap
-    chunk = max(int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16, 16)
+    chunk = int(expected + 10.0 * math.sqrt(expected + 1.0)) + 16
     blocks = [np.zeros(0)]  # so that a zero duration concatenates to no times
     t_end = 0.0
     while t_end < duration_ns:

@@ -1,5 +1,6 @@
 """CLI contract: happy paths per subcommand, JSON error objects on failure."""
 
+import csv
 import ctypes
 import json
 import math
@@ -207,6 +208,35 @@ def test_counts_csv_cell_that_is_no_json_number_is_refused(tmp_path, capsys, cel
     assert len(captured.err.splitlines()) == 1
     message = json.loads(captured.err)["error"]["message"]
     assert message == f"{path}: line 2, field 'y': could not parse {cell!r} as a number"
+
+
+@pytest.mark.parametrize("header, row, line", [
+    ("x,y,z,Z", "1," + "1" * 200_000 + ",3,4", 2),
+    ("x,y," + "z" * 200_000 + ",Z", "1,2,3,4", 1),
+], ids=["data", "header"])
+def test_counts_csv_cell_over_the_field_size_limit_is_refused(tmp_path, capsys, header, row, line):
+    # the limit is process-wide csv module state, so the reader leaves it as it is
+    limit = csv.field_size_limit()
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{header}\n{row}\n")
+    assert main(["stats", str(path)]) == 2
+    assert csv.field_size_limit() == limit
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    message = json.loads(captured.err)["error"]["message"]
+    assert message == f"{path}: line {line}: field larger than field limit ({limit})"
+
+
+def test_counts_file_without_a_suffix_is_json_when_it_starts_with_a_brace_or_bracket(
+        tmp_path, capsys):
+    path = tmp_path / "counts"
+    path.write_text(' {"x": 1, "y": 2, "z": 3, "Z": 4}')
+    assert main(["stats", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["x"] == 1
+    path.write_text("[1]")
+    assert main(["stats", str(path)]) == 2
+    assert _stderr_error(capsys)["message"] == f"{path}: counts must be a JSON object, got [1]"
 
 
 def test_malformed_counts_is_json_error(tmp_path, capsys):

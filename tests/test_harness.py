@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellsim
 from bellsim import harness
 from bellsim.bellstats import RunCounts
 from bellsim.cli import main
@@ -41,7 +42,6 @@ from bellsim.harness import (
     run_configuration,
     run_scenario,
     run_sweep,
-    scenario_from_dict,
     sweep_csv_text,
 )
 from bellsim.presets import (
@@ -50,6 +50,7 @@ from bellsim.presets import (
     bundled_counts_path,
     load_scenario_file,
     load_sweep_file,
+    scenario_from_dict,
     wave_like,
 )
 from bellsim.source import EmissionConfig, generate_emissions
@@ -919,6 +920,17 @@ def test_preset_loading_and_overrides(tmp_path):
     bad.write_text(json.dumps({"preset": "nonexistent"}))
     with pytest.raises(ValueError, match="unknown preset"):
         load_scenario_file(bad)
+
+
+def test_one_parser_reads_a_scenario_document_from_a_file_and_from_a_dict(tmp_path):
+    document = {"preset": "freedman-like", "window": {"window_lo": -3.0}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    scenario = bellsim.scenario_from_dict(document)
+    assert scenario == load_scenario_file(path)
+    assert (scenario.window.window_lo, scenario.window.window_hi) == (-3.0, 6.0)
+    with pytest.raises(ValueError, match="unknown preset 'bogus'"):
+        bellsim.scenario_from_dict({"preset": "bogus"})
 
 
 def test_load_sweep_file(tmp_path):
